@@ -16,7 +16,7 @@ well-defined:
   training index and vote ties toward negative; score is the positive vote
   fraction.
 
-All four are deterministic given (data, seed).
+All four are deterministic given the data.
 """
 
 from __future__ import annotations
@@ -241,14 +241,11 @@ class Classifier:
         return labels.astype(int), scores
 
 
-def train_classifier(
-    kind: ClassifierKind, features, labels, seed: int, **overrides
-) -> Classifier:
-    """Fit one classifier family; deterministic given (data, seed)."""
+def train_classifier(kind: ClassifierKind, features, labels, **overrides) -> Classifier:
+    """Fit one classifier family; deterministic given the data."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
     _validate(features, labels)
-    del seed  # all four families are deterministic; kept for interface parity
     if kind is ClassifierKind.GRADIENT_BOOSTED_TREES:
         model = GradientBoostedTrees(**overrides).fit(features, labels)
     elif kind is ClassifierKind.MAX_MARGIN_LINEAR:
@@ -260,7 +257,3 @@ def train_classifier(
     else:
         raise TrainingError(f"unknown classifier kind {kind}")
     return Classifier(kind, model)
-
-
-def predict(classifier: Classifier, features):
-    return classifier.predict(features)

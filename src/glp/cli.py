@@ -261,6 +261,8 @@ def cmd_transfer(config: dict) -> dict[str, Path]:
         raise MissingArtifactError(f"weight files missing: {', '.join(missing)}; run pretrain first")
 
     loaded = read_episodic_csv(episodic_path)
+    if loaded.rejected_rows:
+        logger.warning("ingestion rejected %d episodic rows", len(loaded.rejected_rows))
     if not loaded.records:
         raise SchemaError(f"{episodic_path}: no usable records")
     models = {}

@@ -87,15 +87,6 @@ class LabSeries:
     def real_months(self) -> list[int]:
         return [o.month for o in self.observations if o.is_real]
 
-    def first_month(self) -> int:
-        return self.real_months()[0]
-
-    def second_last_real_month(self) -> int:
-        return self.real_months()[-2]
-
-    def last_real_month(self) -> int:
-        return self.real_months()[-1]
-
 
 @dataclass
 class Patient:

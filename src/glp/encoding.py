@@ -65,10 +65,6 @@ def discrete_codes(parameter: LabParameter, values: np.ndarray) -> np.ndarray:
     raise EncodingError(f"unknown parameter {parameter}")
 
 
-def category_count(parameter: LabParameter) -> int:
-    return 2 if parameter in _TWO_LEVEL else 3
-
-
 def encode_frame(
     patient_id: str,
     parameter: LabParameter,

@@ -14,6 +14,17 @@ discrete channel is recomputed from the denormalized value.
 Regressor: affine 5->2, ReLU, affine 2->2, ReLU, affine 2->1. Its scalar
 output is the normalized-value forecast one month past the current window.
 
+Parameters
+----------
+A model's 516 weights live in one float64 vector, `GlpModel.vector`, in
+`PARAM_LAYOUT` order. `GlpModel.libc` and `GlpModel.regressor` hold named
+views into that vector made by `param_views`, so writing through either side
+changes the other, the optimizer updates the vector in place, and gradients
+accumulate into views of one flat buffer of the same layout. Pickling would
+copy the views apart from the vector, so a model pickles as its vector alone
+and rebuilds the views when it is unpickled (as it is on return from a
+worker process).
+
 Training graphs
 ---------------
 `rollout_loss_and_grads` computes batch-mean MSE and its exact gradient for
@@ -37,7 +48,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,15 +80,6 @@ class RegressorParams:
     b3: np.ndarray  # (1,)
 
 
-@dataclass
-class GlpModel:
-    parameter: LabParameter
-    certain: int
-    libc: LibcParams
-    regressor: RegressorParams
-    version: int = 1
-
-
 PARAM_LAYOUT: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("libc.w_x", (2, GATE_ROWS, CHANNELS)),
     ("libc.w_h", (2, GATE_ROWS, HIDDEN)),
@@ -102,46 +104,41 @@ def n_parameters() -> int:
     return _N_PARAMETERS
 
 
-def _model_arrays(model: GlpModel) -> list[np.ndarray]:
-    arrays = []
-    for path, _ in PARAM_LAYOUT:
-        obj = model
-        for part in path.split("."):
-            obj = getattr(obj, part)
-        arrays.append(obj)
-    return arrays
+def param_views(buf: np.ndarray) -> tuple[LibcParams, RegressorParams]:
+    """Named views of a (..., 516) parameter buffer in `PARAM_LAYOUT` order;
+    leading axes carry through to every view."""
+    lead = buf.shape[:-1]
+    groups: dict[str, dict[str, np.ndarray]] = {"libc": {}, "regressor": {}}
+    offset = 0
+    for path, shape in PARAM_LAYOUT:
+        group, name = path.split(".")
+        size = int(np.prod(shape))
+        groups[group][name] = buf[..., offset : offset + size].reshape(lead + shape)
+        offset += size
+    return LibcParams(**groups["libc"]), RegressorParams(**groups["regressor"])
 
 
-def model_to_vector(model: GlpModel) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in _model_arrays(model)])
+@dataclass
+class GlpModel:
+    parameter: LabParameter
+    certain: int
+    vector: np.ndarray  # (516,) float64, the only storage of the weights
+    version: int = 1
+    libc: LibcParams = field(init=False, repr=False, compare=False)
+    regressor: RegressorParams = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.libc, self.regressor = param_views(self.vector)
+
+    def __reduce__(self):
+        # pickling the views would copy them apart from `vector`; rebuild them
+        return GlpModel, (self.parameter, self.certain, self.vector, self.version)
 
 
 def vector_to_model(vec: np.ndarray, parameter: LabParameter, certain: int) -> GlpModel:
     if vec.shape != (n_parameters(),):
         raise IntegrityError(f"expected {n_parameters()} parameters, got {vec.shape}")
-    pieces = {}
-    offset = 0
-    for path, shape in PARAM_LAYOUT:
-        size = int(np.prod(shape))
-        pieces[path] = vec[offset : offset + size].reshape(shape).copy()
-        offset += size
-    libc = LibcParams(
-        pieces["libc.w_x"], pieces["libc.w_h"], pieces["libc.b"], pieces["libc.w_c"], pieces["libc.b_c"]
-    )
-    reg = RegressorParams(
-        pieces["regressor.w1"], pieces["regressor.b1"], pieces["regressor.w2"],
-        pieces["regressor.b2"], pieces["regressor.w3"], pieces["regressor.b3"],
-    )
-    return GlpModel(parameter, certain, libc, reg)
-
-
-def set_model_vector(model: GlpModel, vec: np.ndarray) -> None:
-    """Overwrite a model's parameters in place from a flat vector."""
-    offset = 0
-    for array in _model_arrays(model):
-        size = array.size
-        array[...] = vec[offset : offset + size].reshape(array.shape)
-        offset += size
+    return GlpModel(parameter, certain, np.array(vec, dtype=np.float64))
 
 
 def models_equal(a: GlpModel, b: GlpModel) -> bool:
@@ -149,7 +146,7 @@ def models_equal(a: GlpModel, b: GlpModel) -> bool:
         a.parameter is b.parameter
         and a.certain == b.certain
         and a.version == b.version
-        and all(np.array_equal(x, y) for x, y in zip(_model_arrays(a), _model_arrays(b)))
+        and np.array_equal(a.vector, b.vector)
     )
 
 
@@ -162,22 +159,19 @@ def init_model(parameter: LabParameter, certain: int, seed: int) -> GlpModel:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=shape)
 
-    w_x = np.empty((2, GATE_ROWS, CHANNELS))
-    w_h = np.empty((2, GATE_ROWS, HIDDEN))
+    model = GlpModel(parameter, certain, np.zeros(n_parameters()))
+    libc, reg = model.libc, model.regressor
     for d in range(2):
         for gate in range(4):
             rows = slice(gate * HIDDEN, (gate + 1) * HIDDEN)
-            w_x[d, rows] = block(CHANNELS, HIDDEN, (HIDDEN, CHANNELS))
-            w_h[d, rows] = block(HIDDEN, HIDDEN, (HIDDEN, HIDDEN))
-    b = np.zeros((2, GATE_ROWS))
-    b[:, HIDDEN : 2 * HIDDEN] = 1.0
-    libc = LibcParams(w_x, w_h, b, block(2 * HIDDEN, HIDDEN, (HIDDEN, 2 * HIDDEN)), np.zeros(HIDDEN))
-    reg = RegressorParams(
-        block(5, 2, (2, 5)), np.zeros(2),
-        block(2, 2, (2, 2)), np.zeros(2),
-        block(2, 1, (1, 2)), np.zeros(1),
-    )
-    return GlpModel(parameter, certain, libc, reg)
+            libc.w_x[d, rows] = block(CHANNELS, HIDDEN, (HIDDEN, CHANNELS))
+            libc.w_h[d, rows] = block(HIDDEN, HIDDEN, (HIDDEN, HIDDEN))
+    libc.b[:, HIDDEN : 2 * HIDDEN] = 1.0
+    libc.w_c[...] = block(2 * HIDDEN, HIDDEN, (HIDDEN, 2 * HIDDEN))
+    reg.w1[...] = block(5, 2, (2, 5))
+    reg.w2[...] = block(2, 2, (2, 2))
+    reg.w3[...] = block(2, 1, (1, 2))
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +249,19 @@ def libc_forward(p: LibcParams, x: np.ndarray, need_trace: bool = False):
     return out, None
 
 
-def libc_backward(p: LibcParams, tr: LibcTrace, d_out: np.ndarray):
-    """Gradient of a scalar loss wrt encoder params and input, given d_out."""
+def libc_backward(p: LibcParams, tr: LibcTrace, d_out: np.ndarray, grads: LibcParams):
+    """Add the gradient of a scalar loss wrt the encoder params, given d_out,
+    into `grads`; returns the gradient wrt the input."""
     act = np.maximum(tr.concat, 0.0)
     d_pre = d_out * (tr.pre > 0)
     B, T = d_out.shape[0], tr.xs.shape[2]
-    d_wc = d_pre.reshape(B * T, HIDDEN).T @ act.reshape(B * T, 2 * HIDDEN)
-    d_bc = d_pre.sum(axis=(0, 1))
+    grads.w_c += d_pre.reshape(B * T, HIDDEN).T @ act.reshape(B * T, 2 * HIDDEN)
+    grads.b_c += d_pre.sum(axis=(0, 1))
     d_act = d_pre @ p.w_c
     d_concat = d_act * (tr.concat > 0)
     # back to scan order per direction
     d_hs = np.stack([d_concat[:, :, :HIDDEN], d_concat[:, ::-1, HIDDEN:]])
 
-    d_wx = np.zeros_like(p.w_x)
-    d_wh = np.zeros_like(p.w_h)
-    d_b = np.zeros_like(p.b)
     d_xs = np.empty_like(tr.xs)
     dz_all = np.empty((2, B, T, GATE_ROWS))
     dh_carry = np.zeros((2, B, HIDDEN))
@@ -293,12 +285,10 @@ def libc_backward(p: LibcParams, tr: LibcTrace, d_out: np.ndarray):
         dh_carry = dz @ p.w_h
     # weight gradients accumulate over batch and time in two stacked matmuls
     dz_flat = dz_all.reshape(2, B * T, GATE_ROWS).transpose(0, 2, 1)
-    d_wx += dz_flat @ tr.xs.reshape(2, B * T, CHANNELS)
-    d_wh += dz_flat @ tr.h_prev.reshape(2, B * T, HIDDEN)
-    d_b += dz_all.sum(axis=(1, 2))
-    d_x = d_xs[0] + d_xs[1][:, ::-1, :]
-    grads = LibcParams(d_wx, d_wh, d_b, d_wc, d_bc)
-    return grads, d_x
+    grads.w_x += dz_flat @ tr.xs.reshape(2, B * T, CHANNELS)
+    grads.w_h += dz_flat @ tr.h_prev.reshape(2, B * T, HIDDEN)
+    grads.b += dz_all.sum(axis=(1, 2))
+    return d_xs[0] + d_xs[1][:, ::-1, :]
 
 
 @dataclass
@@ -324,30 +314,22 @@ def regressor_forward(p: RegressorParams, latent: np.ndarray, need_trace: bool =
     return y, None
 
 
-def regressor_backward(p: RegressorParams, tr: RegressorTrace, d_y: np.ndarray):
+def regressor_backward(p: RegressorParams, tr: RegressorTrace, d_y: np.ndarray,
+                       grads: RegressorParams):
+    """Add the regressor's parameter gradient into `grads`; returns the
+    gradient wrt the latent."""
     d_y2 = d_y[:, None]
-    d_w3 = d_y2.T @ tr.a2
-    d_b3 = np.array([d_y.sum()])
+    grads.w3 += d_y2.T @ tr.a2
+    grads.b3 += d_y.sum()
     d_a2 = d_y2 @ p.w3
     d_z2 = d_a2 * (tr.z2 > 0)
-    d_w2 = d_z2.T @ tr.a1
-    d_b2 = d_z2.sum(axis=0)
+    grads.w2 += d_z2.T @ tr.a1
+    grads.b2 += d_z2.sum(axis=0)
     d_a1 = d_z2 @ p.w2
     d_z1 = d_a1 * (tr.z1 > 0)
-    d_w1 = d_z1.T @ tr.latent
-    d_b1 = d_z1.sum(axis=0)
-    d_latent = d_z1 @ p.w1
-    grads = RegressorParams(d_w1, d_b1, d_w2, d_b2, d_w3, d_b3)
-    return grads, d_latent
-
-
-def mse(pred, target) -> float:
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape or pred.size < 1:
-        raise TrainingError(f"mse shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    return float(np.mean(diff * diff))
+    grads.w1 += d_z1.T @ tr.latent
+    grads.b1 += d_z1.sum(axis=0)
+    return d_z1 @ p.w1
 
 
 # ---------------------------------------------------------------------------
@@ -407,34 +389,20 @@ def rollout_loss_and_grads(
     loss = float(np.mean(diff * diff))
     d_pred = 2.0 * diff / B
 
-    reg_grads, d_latent = regressor_backward(model.regressor, rtr, d_pred)
+    grads = np.zeros(n_parameters())
+    libc_grads, regressor_grads = param_views(grads)
+    d_latent = regressor_backward(model.regressor, rtr, d_pred, regressor_grads)
     d_out = np.zeros_like(x0)
     d_out[:, -1, :] = d_latent
 
-    acc = LibcParams(
-        np.zeros_like(model.libc.w_x), np.zeros_like(model.libc.w_h),
-        np.zeros_like(model.libc.b), np.zeros_like(model.libc.w_c),
-        np.zeros_like(model.libc.b_c),
-    )
     for k in range(len(traces) - 1, -1, -1):
-        libc_grads, d_x = libc_backward(model.libc, traces[k], d_out)
-        acc.w_x += libc_grads.w_x
-        acc.w_h += libc_grads.w_h
-        acc.b += libc_grads.b
-        acc.w_c += libc_grads.w_c
-        acc.b_c += libc_grads.b_c
+        d_x = libc_backward(model.libc, traces[k], d_out, libc_grads)
         if k > 0:
             if stop_gradient:
                 break
             d_out = np.zeros_like(x0)
             d_out[:, :, 4] = d_x[:, :, 4]
-
-    flat = np.concatenate(
-        [acc.w_x.ravel(), acc.w_h.ravel(), acc.b.ravel(), acc.w_c.ravel(), acc.b_c.ravel(),
-         reg_grads.w1.ravel(), reg_grads.b1.ravel(), reg_grads.w2.ravel(), reg_grads.b2.ravel(),
-         reg_grads.w3.ravel(), reg_grads.b3.ravel()]
-    )
-    return loss, flat
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +446,8 @@ _HEADER = struct.Struct("<4sHBB")
 
 
 def _payload(model: GlpModel) -> bytes:
-    vec = model_to_vector(model)
     head = _HEADER.pack(MAGIC, FORMAT_VERSION, PARAMETER_ORDER.index(model.parameter), model.certain)
-    return head + vec.astype("<f8").tobytes()
+    return head + model.vector.astype("<f8").tobytes()
 
 
 def model_checksum(model: GlpModel) -> int:
@@ -512,7 +479,7 @@ def load_weights(path) -> GlpModel:
         raise IntegrityError(f"{path}: unknown parameter id {param_index}")
     if not 0 <= certain <= 5:
         raise IntegrityError(f"{path}: certainty threshold {certain} outside [0, 5]")
-    vec = np.frombuffer(payload[_HEADER.size :], dtype="<f8").astype(float)
-    model = vector_to_model(vec, PARAMETER_ORDER[param_index], certain)
-    model.version = version
-    return model
+    vec = np.frombuffer(payload[_HEADER.size :], dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(vec)):
+        raise IntegrityError(f"{path}: non-finite weights")
+    return GlpModel(PARAMETER_ORDER[param_index], certain, vec, version)

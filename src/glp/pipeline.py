@@ -158,10 +158,9 @@ def _fit(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[nc.GlpModel, list[float]]:
-    vec = nc.model_to_vector(model)
-    model = nc.vector_to_model(vec, model.parameter, model.certain)  # private working copy
+    model = nc.vector_to_model(model.vector, model.parameter, model.certain)  # private working copy
     adam = nc.AdamState.create(
-        vec.size, config.learning_rate, config.beta1, config.beta2, config.epsilon
+        model.vector.size, config.learning_rate, config.beta1, config.beta2, config.epsilon
     )
     history = []
     for _ in range(config.epochs):
@@ -185,8 +184,8 @@ def _fit(
                 model, data.x[indices], data.targets[indices], gap,
                 stop_gradient=config.stop_rollout_gradients,
             )
-            vec, adam = nc.adam_step(vec, grads, adam)
-            nc.set_model_vector(model, vec)
+            updated, adam = nc.adam_step(model.vector, grads, adam)
+            model.vector[...] = updated
             history.append(loss)
     return model, history
 
@@ -265,10 +264,6 @@ def train_ssl_only(stage2_frames: list[Frame], config: TrainConfig) -> nc.GlpMod
     return train_stage2(model, stage2_frames, config)
 
 
-def train_supervised_only(stage1_frames: list[Frame], config: TrainConfig) -> nc.GlpModel:
-    return train_stage1(stage1_frames, config)
-
-
 def train_two_stage(
     stage1_frames: list[Frame], stage2_frames: list[Frame], config: TrainConfig
 ) -> tuple[nc.GlpModel, nc.GlpModel]:
@@ -293,7 +288,7 @@ def train_hybrid(
 def train_by_method(stage1_frames, stage2_frames, config: TrainConfig):
     """Dispatch on config.method; returns (stage1_model_or_None, final_model)."""
     if config.method is TrainMethod.SUPERVISED_ONLY:
-        model = train_supervised_only(stage1_frames, config)
+        model = train_stage1(stage1_frames, config)
         return model, model
     if config.method is TrainMethod.SSL_ONLY:
         return None, train_ssl_only(stage2_frames, config)
@@ -304,12 +299,6 @@ def train_by_method(stage1_frames, stage2_frames, config: TrainConfig):
 
 # ---------------------------------------------------------------------------
 # inference and scoring
-
-
-def rollout(model: nc.GlpModel, frame: Frame, gap: int) -> tuple[float, list[np.ndarray]]:
-    """Single-frame rollout: (forecast scalar, per-application final-month latents)."""
-    pred, latents, _, _ = nc.rollout_forward(model, frame.input[None, :, :], gap)
-    return float(pred[0]), [latent[0] for latent in latents]
 
 
 def evaluate_r2(model: nc.GlpModel, frames: list[Frame]) -> float:
@@ -463,11 +452,11 @@ def _parameter_cells(patients, config: TrainConfig, certains: list[int]):
     return train, test, cells
 
 
-def _execute(cells, jobs: int):
+def _execute(fn, cells, jobs: int):
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_parameter_cv, cells))
-    return [_run_parameter_cv(cell) for cell in cells]
+            return list(pool.map(fn, cells))
+    return [fn(cell) for cell in cells]
 
 
 def cross_validate(patients: list[Patient], config: TrainConfig, jobs: int = 1) -> PretrainReport:
@@ -475,7 +464,7 @@ def cross_validate(patients: list[Patient], config: TrainConfig, jobs: int = 1) 
     config.validate()
     started = time.perf_counter()
     train, test, cells = _parameter_cells(patients, config, [config.certain])
-    results = _execute(cells, jobs)
+    results = _execute(_run_parameter_cv, cells, jobs)
     report = PretrainReport(
         config_echo=_config_echo(config), seed=config.seed, certain=config.certain,
         n_patients=len(patients), n_train=len(train), n_test=len(test),
@@ -499,7 +488,7 @@ def sweep_certain(patients: list[Patient], config: TrainConfig, jobs: int = 1) -
     config.validate()
     started = time.perf_counter()
     train, test, cells = _parameter_cells(patients, config, list(range(6)))
-    results = _execute(cells, jobs)
+    results = _execute(_run_parameter_cv, cells, jobs)
     by_parameter: dict[str, list[tuple[int, list[float], list[float] | None]]] = {}
     for (_, _, _, _, parameter, certain), (fold_r2, stage1_r2) in zip(cells, results):
         by_parameter.setdefault(parameter.value, []).append((certain, fold_r2, stage1_r2))
@@ -543,21 +532,14 @@ def train_final_models(
         stage1, stage2 = assemble_frames(cache, train, certain)
         job = replace(config, certain=certain, seed=derive_seed(config.seed, parameter.value, "final"))
         cells.append((stage1, stage2, job, parameter))
-    results = (
-        _execute_final(cells, jobs) if jobs > 1 else [_final_job(cell) for cell in cells]
-    )
+    results = _execute(_train_final_model, cells, jobs)
     return {parameter: model for (_, _, _, parameter), model in zip(cells, results)}
 
 
-def _final_job(cell):
-    stage1, stage2, job, parameter = cell
+def _train_final_model(cell):
+    stage1, stage2, job, _ = cell
     _, model = train_by_method(stage1, stage2, job)
     return model
-
-
-def _execute_final(cells, jobs):
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_final_job, cells))
 
 
 # ---------------------------------------------------------------------------

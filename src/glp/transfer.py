@@ -74,32 +74,13 @@ def _check_models(models: dict[LabParameter, nc.GlpModel]) -> None:
             )
 
 
-def extract_features(models: dict[LabParameter, nc.GlpModel], record: EpisodicRecord) -> ProgressFeatures:
-    """Transfer features for one record; the models are never mutated."""
-    _check_models(models)
-    raw = np.empty(len(PARAMETER_ORDER))
-    emb = np.empty((len(PARAMETER_ORDER), nc.HIDDEN))
-    out = np.empty(len(PARAMETER_ORDER))
-    half = np.empty(len(PARAMETER_ORDER))
-    for i, parameter in enumerate(PARAMETER_ORDER):
-        model = models[parameter]
-        x0 = seed_frame(record, parameter)[None, :, :]
-        pred, latents, _, _ = nc.rollout_forward(model, x0, record.gap_months)
-        half_index = max(1, -(-record.gap_months // 2)) - 1  # ceil(g/2), 1-based
-        half_pred, _ = nc.regressor_forward(model.regressor, latents[half_index])
-        raw[i] = x0[0, 0, 4]
-        emb[i] = latents[-1][0]
-        out[i] = pred[0]
-        half[i] = half_pred[0]
-    return ProgressFeatures(record.patient_id, record.label, record.gap_months,
-                            raw, emb.ravel(), out, half)
-
-
 def extract_features_bulk(
     models: dict[LabParameter, nc.GlpModel], records: list[EpisodicRecord]
 ) -> list[ProgressFeatures]:
-    """Vectorized `extract_features`: per parameter, all records roll forward
-    together, snapshotting each record's latent at its own ceil(g/2) and g."""
+    """Transfer features for each record; the models are never mutated.
+
+    Per parameter, all records roll forward together, snapshotting each
+    record's latent at its own ceil(g/2) and g applications."""
     _check_models(models)
     n = len(records)
     gaps = np.array([max(r.gap_months, 1) for r in records])
@@ -130,20 +111,6 @@ def extract_features_bulk(
                          raw[j], emb[j].ravel(), out[j], half[j])
         for j, r in enumerate(records)
     ]
-
-
-def downsample_negatives(records: list[EpisodicRecord], seed: int) -> list[EpisodicRecord]:
-    """Keep every positive, sample an equal number of negatives without
-    replacement."""
-    positives = [r for r in records if r.label]
-    negatives = [r for r in records if not r.label]
-    if len(negatives) < len(positives):
-        raise TrainingError(
-            f"cannot downsample: {len(negatives)} negatives < {len(positives)} positives"
-        )
-    rng = rng_from(seed, "downsample")
-    chosen = rng.choice(len(negatives), size=len(positives), replace=False)
-    return positives + [negatives[i] for i in sorted(chosen)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +268,7 @@ def run_downstream_study(
             predictions = {}
             per_classifier_metrics = {}
             for kind in ClassifierKind:
-                model = train_classifier(kind, matrix[train_idx], labels[train_idx], rep_seed)
+                model = train_classifier(kind, matrix[train_idx], labels[train_idx])
                 predicted, scores = model.predict(matrix[test_idx])
                 row = classification_metrics(labels[test_idx], predicted, scores)
                 predictions[kind.value] = predicted
@@ -349,6 +316,8 @@ def run_downstream_study(
 
 
 def _balanced_indices(labels: np.ndarray, seed: int) -> np.ndarray:
+    """Indices of every positive and an equal number of negatives sampled
+    without replacement, in ascending order."""
     positives = np.flatnonzero(labels == 1)
     negatives = np.flatnonzero(labels == 0)
     if len(negatives) < len(positives):

@@ -2,13 +2,17 @@
 that accelerates the finite-difference gradient oracle.
 
 `batched_rollout_losses` evaluates the training loss at P parameter vectors
-simultaneously by giving every weight array a leading probe axis. It computes
-the same math as `glp.netcore.rollout_forward`; the acceptance suite verifies
-this pointwise against the production forward on sampled probes before
-trusting it for the full finite-difference sweep.
+simultaneously by giving every weight array a leading probe axis: the named
+arrays are `glp.netcore.param_views` of the (P, 516) probe matrix, so the
+parameter layout is the production one. It computes the same math as
+`glp.netcore.rollout_forward`; the acceptance suite verifies this pointwise
+against the production forward on sampled probes before trusting it for the
+full finite-difference sweep.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -33,18 +37,17 @@ def make_glucose_batch(batch: int, rng: np.random.Generator):
     return x, targets
 
 
+def views_alias_vector(model) -> bool:
+    """Whether every named weight array is a view into `model.vector`."""
+    return all(
+        np.shares_memory(getattr(group, f.name), model.vector)
+        for group in (model.libc, model.regressor)
+        for f in dataclasses.fields(group)
+    )
+
+
 def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
-def _unpack(vectors: np.ndarray):
-    pieces = {}
-    offset = 0
-    for path, shape in nc.PARAM_LAYOUT:
-        size = int(np.prod(shape))
-        pieces[path] = vectors[:, offset : offset + size].reshape((-1,) + shape)
-        offset += size
-    return pieces
 
 
 def batched_rollout_losses(
@@ -55,7 +58,7 @@ def batched_rollout_losses(
     gap: int,
 ) -> np.ndarray:
     """Loss per probe row for P parameter vectors at once; shape (P,)."""
-    p = _unpack(vectors)
+    libc, reg = nc.param_views(vectors)
     P = vectors.shape[0]
     B, T, _ = x0.shape
     applications = max(int(gap), 1)
@@ -63,12 +66,12 @@ def batched_rollout_losses(
     seq = np.broadcast_to(x0, (P, B, T, 5))
     for k in range(applications):
         xs = np.stack([seq, seq[:, :, ::-1, :]], axis=1)  # (P, 2, B, T, 5)
-        xz = np.einsum("pdbti,pdgi->pdbtg", xs, p["libc.w_x"]) + p["libc.b"][:, :, None, None, :]
+        xz = np.einsum("pdbti,pdgi->pdbtg", xs, libc.w_x) + libc.b[:, :, None, None, :]
         h = np.zeros((P, 2, B, 5))
         c = np.zeros((P, 2, B, 5))
         hs = np.empty((P, 2, B, T, 5))
         for t in range(T):
-            z = xz[:, :, :, t, :] + np.einsum("pdbj,pdgj->pdbg", h, p["libc.w_h"])
+            z = xz[:, :, :, t, :] + np.einsum("pdbj,pdgj->pdbg", h, libc.w_h)
             gi = _sigmoid(z[..., 0:5])
             gf = _sigmoid(z[..., 5:10])
             gg = np.tanh(z[..., 10:15])
@@ -78,7 +81,7 @@ def batched_rollout_losses(
             hs[:, :, :, t] = h
         concat = np.concatenate([hs[:, 0], hs[:, 1, :, ::-1, :]], axis=3)  # (P, B, T, 10)
         act = np.maximum(concat, 0.0)
-        pre = np.einsum("pbti,pji->pbtj", act, p["libc.w_c"]) + p["libc.b_c"][:, None, None, :]
+        pre = np.einsum("pbti,pji->pbtj", act, libc.w_c) + libc.b_c[:, None, None, :]
         out = np.maximum(pre, 0.0)
         if k < applications - 1:
             nxt = np.empty_like(out)
@@ -90,11 +93,11 @@ def batched_rollout_losses(
             seq = nxt
 
     latent = out[:, :, -1, :]  # (P, B, 5)
-    z1 = np.einsum("pbj,pij->pbi", latent, p["regressor.w1"]) + p["regressor.b1"][:, None, :]
+    z1 = np.einsum("pbj,pij->pbi", latent, reg.w1) + reg.b1[:, None, :]
     a1 = np.maximum(z1, 0.0)
-    z2 = np.einsum("pbj,pij->pbi", a1, p["regressor.w2"]) + p["regressor.b2"][:, None, :]
+    z2 = np.einsum("pbj,pij->pbi", a1, reg.w2) + reg.b2[:, None, :]
     a2 = np.maximum(z2, 0.0)
-    pred = np.einsum("pbj,pij->pbi", a2, p["regressor.w3"])[:, :, 0] + p["regressor.b3"]
+    pred = np.einsum("pbj,pij->pbi", a2, reg.w3)[:, :, 0] + reg.b3
     diff = pred - targets[None, :]
     return np.mean(diff * diff, axis=1)
 

@@ -1,29 +1,29 @@
 import numpy as np
 import pytest
 
-from glp.classifiers import ClassifierKind, predict, train_classifier
+from glp.classifiers import ClassifierKind, train_classifier
 from glp.errors import TrainingError
 
 
 def test_single_class_rejected():
     x = np.random.default_rng(0).normal(size=(10, 3))
     with pytest.raises(TrainingError, match="single class"):
-        train_classifier(ClassifierKind.LOGISTIC_REGRESSION, x, np.ones(10), seed=0)
+        train_classifier(ClassifierKind.LOGISTIC_REGRESSION, x, np.ones(10))
 
 
 def test_knn_k1_returns_training_label():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0, 1, 0, 1])
-    model = train_classifier(ClassifierKind.K_NEAREST, x, y, seed=0, k=1)
-    labels, _ = predict(model, x)
+    model = train_classifier(ClassifierKind.K_NEAREST, x, y, k=1)
+    labels, _ = model.predict(x)
     assert np.array_equal(labels, y)
 
 
 def test_knn_vote_tie_breaks_negative():
     x = np.array([[0.0], [2.0], [10.0], [12.0]])
     y = np.array([1, 0, 1, 0])
-    model = train_classifier(ClassifierKind.K_NEAREST, x, y, seed=0, k=2)
-    labels, scores = predict(model, np.array([[1.0]]))
+    model = train_classifier(ClassifierKind.K_NEAREST, x, y, k=2)
+    labels, scores = model.predict(np.array([[1.0]]))
     assert scores[0] == 0.5
     assert labels[0] == 0
 
@@ -32,8 +32,8 @@ def test_knn_distance_tie_lower_index():
     # query equidistant from index 0 (label 1) and index 1 (label 0)
     x = np.array([[0.0], [2.0], [50.0], [60.0]])
     y = np.array([1, 0, 0, 1])
-    model = train_classifier(ClassifierKind.K_NEAREST, x, y, seed=0, k=1)
-    labels, _ = predict(model, np.array([[1.0]]))
+    model = train_classifier(ClassifierKind.K_NEAREST, x, y, k=1)
+    labels, _ = model.predict(np.array([[1.0]]))
     assert labels[0] == 1  # index 0 wins the tie
 
 
@@ -41,8 +41,8 @@ def test_logistic_regression_separable_1d():
     x = np.concatenate([np.full(10, -1.0), np.full(10, 1.0)])[:, None]
     x = x + np.linspace(-0.05, 0.05, 20)[:, None]
     y = np.concatenate([np.zeros(10, dtype=int), np.ones(10, dtype=int)])
-    model = train_classifier(ClassifierKind.LOGISTIC_REGRESSION, x, y, seed=0)
-    labels, _ = predict(model, x)
+    model = train_classifier(ClassifierKind.LOGISTIC_REGRESSION, x, y)
+    labels, _ = model.predict(x)
     assert np.array_equal(labels, y)
 
 
@@ -50,8 +50,8 @@ def test_max_margin_separable():
     rng = np.random.default_rng(3)
     x = np.concatenate([rng.normal(-2, 0.3, (15, 2)), rng.normal(2, 0.3, (15, 2))])
     y = np.concatenate([np.zeros(15, dtype=int), np.ones(15, dtype=int)])
-    model = train_classifier(ClassifierKind.MAX_MARGIN_LINEAR, x, y, seed=0)
-    labels, scores = predict(model, x)
+    model = train_classifier(ClassifierKind.MAX_MARGIN_LINEAR, x, y)
+    labels, scores = model.predict(x)
     assert np.array_equal(labels, y)
     assert np.all(scores[y == 1] > scores[y == 0].max())
 
@@ -66,8 +66,8 @@ def test_gbdt_xor_with_depth_two():
             ys.append(label)
     x = np.array(xs)
     y = np.array(ys)
-    model = train_classifier(ClassifierKind.GRADIENT_BOOSTED_TREES, x, y, seed=0, max_depth=2)
-    labels, _ = predict(model, x)
+    model = train_classifier(ClassifierKind.GRADIENT_BOOSTED_TREES, x, y, max_depth=2)
+    labels, _ = model.predict(x)
     assert np.mean(labels == y) == 1.0
 
 
@@ -78,10 +78,10 @@ def test_deterministic(kind):
     y = (x[:, 0] + 0.3 * rng.normal(size=30) > 0).astype(int)
     if len(np.unique(y)) < 2:
         pytest.skip("degenerate draw")
-    a = train_classifier(kind, x, y, seed=5)
-    b = train_classifier(kind, x, y, seed=5)
-    la, sa = predict(a, x)
-    lb, sb = predict(b, x)
+    a = train_classifier(kind, x, y)
+    b = train_classifier(kind, x, y)
+    la, sa = a.predict(x)
+    lb, sb = b.predict(x)
     assert np.array_equal(la, lb)
     assert np.array_equal(sa, sb)
 
@@ -91,7 +91,7 @@ def test_scores_rank_separable_data(kind):
     rng = np.random.default_rng(19)
     x = np.concatenate([rng.normal(-1, 0.4, (20, 3)), rng.normal(1, 0.4, (20, 3))])
     y = np.concatenate([np.zeros(20, dtype=int), np.ones(20, dtype=int)])
-    model = train_classifier(kind, x, y, seed=1)
-    _, scores = predict(model, x)
+    model = train_classifier(kind, x, y)
+    _, scores = model.predict(x)
     # positives should rank above negatives on average
     assert scores[y == 1].mean() > scores[y == 0].mean()

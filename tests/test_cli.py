@@ -1,4 +1,7 @@
 import json
+import logging
+import struct
+import zlib
 
 import pytest
 
@@ -93,6 +96,31 @@ def test_verify_flags_corruption(tmp_path, capsys):
     assert main(["verify", str(target)]) == 5
     assert "FAIL" in capsys.readouterr().out
     assert main(["verify", str(tmp_path / "missing.glp")]) == 5
+
+
+def test_verify_rejects_non_finite_weights(tmp_path, capsys):
+    config, out = tiny_config(tmp_path)
+    assert main(["synth", "--config", str(config)]) == 0
+    assert main(["pretrain", "--config", str(config)]) == 0
+    target = out / "weights_UA.glp"
+    payload = bytearray(target.read_bytes()[:-4])
+    payload[8:16] = struct.pack("<d", float("nan"))  # first weight; the CRC stays valid
+    target.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+    assert main(["verify", str(target)]) == 5
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["transfer", "--config", str(config)]) == 5
+
+
+def test_transfer_logs_rejected_episodic_rows(tmp_path, caplog):
+    config, out = tiny_config(tmp_path)
+    assert main(["synth", "--config", str(config)]) == 0
+    assert main(["pretrain", "--config", str(config)]) == 0
+    with open(out / "episodic.csv", "a", encoding="utf-8") as fh:
+        fh.write("D99999,60,M,1.0\n")
+    with caplog.at_level(logging.WARNING, logger="glp.cli"):
+        assert main(["transfer", "--config", str(config)]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert "ingestion rejected 1 episodic rows" in warnings
 
 
 def test_unknown_config_key_rejected(tmp_path):

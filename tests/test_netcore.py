@@ -4,7 +4,7 @@ import pytest
 from glp import netcore as nc
 from glp.cohort import LabParameter
 from glp.errors import IntegrityError, TrainingError
-from helpers import gradient_check, make_glucose_batch
+from helpers import gradient_check, make_glucose_batch, views_alias_vector
 
 
 def zero_model(parameter=LabParameter.GLUCOSE_AC):
@@ -18,6 +18,21 @@ def random_model(seed, parameter=LabParameter.GLUCOSE_AC):
 
 def test_parameter_count_is_fixed():
     assert nc.n_parameters() == 516
+
+
+def test_views_alias_the_vector():
+    model = random_model(9)
+    model.libc.w_x[1, 3, 2] = 7.5
+    assert 7.5 in model.vector
+    model.vector[-1] = -3.25
+    assert model.regressor.b3[0] == -3.25
+    assert views_alias_vector(model)
+
+
+def test_init_model_views_alias_the_vector():
+    model = nc.init_model(LabParameter.LDL, 2, seed=4)
+    assert model.vector.shape == (516,)
+    assert views_alias_vector(model)
 
 
 def test_libc_output_shape():
@@ -89,14 +104,6 @@ def test_regressor_output_scalar():
     model = random_model(3)
     pred, _ = nc.regressor_forward(model.regressor, np.random.default_rng(0).uniform(0, 1, (6, 5)))
     assert pred.shape == (6,)
-
-
-def test_mse_examples():
-    assert nc.mse([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert nc.mse([0.0, 0.0], [1.0, 3.0]) == pytest.approx(5.0)
-    assert nc.mse([2.0], [-2.0]) == pytest.approx(16.0)
-    with pytest.raises(TrainingError):
-        nc.mse([1.0], [1.0, 2.0])
 
 
 def test_nonfinite_input_rejected():

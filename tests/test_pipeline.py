@@ -19,15 +19,14 @@ from glp.pipeline import (
     evaluate_r2,
     frame_set,
     make_folds,
-    rollout,
     split_cohort,
     train_by_method,
     train_hybrid,
     train_stage1,
     train_stage2,
-    train_supervised_only,
 )
 from glp.seeding import rng_from
+from helpers import views_alias_vector
 
 QUICK = TrainConfig(epochs=4, seed=5)
 
@@ -82,7 +81,7 @@ def test_hybrid_without_stage2_equals_supervised(frames):
     s1, _ = frames
     subset = s1[:60]
     assert nc.models_equal(
-        train_hybrid(subset, [], QUICK), train_supervised_only(subset, QUICK)
+        train_hybrid(subset, [], QUICK), train_stage1(subset, QUICK)
     )
 
 
@@ -97,7 +96,7 @@ def test_all_methods_complete(frames):
     for method in TrainMethod:
         config = dataclasses.replace(QUICK, method=method)
         _, model = train_by_method(s1[:40], s2[:12], config)
-        assert np.all(np.isfinite(nc.model_to_vector(model)))
+        assert np.all(np.isfinite(model.vector))
 
 
 def test_loss_decreases_on_planted_data(frames):
@@ -125,21 +124,21 @@ def test_single_frame_overfit(frames):
 def test_rollout_gap_zero_equals_single_pass(frames):
     s1, _ = frames
     model = train_stage1(s1[:40], QUICK)
-    frame = s1[7]
-    pred, trajectory = rollout(model, frame, 0)
-    out, _ = nc.libc_forward(model.libc, frame.input[None])
+    x = s1[7].input[None]
+    pred, latents, _, _ = nc.rollout_forward(model, x, 0)
+    out, _ = nc.libc_forward(model.libc, x)
     direct, _ = nc.regressor_forward(model.regressor, out[:, -1, :])
-    assert pred == direct[0]
-    assert len(trajectory) == 1
+    assert pred[0] == direct[0]
+    assert len(latents) == 1
 
 
 @pytest.mark.parametrize("gap", [1, 3, 6])
 def test_rollout_trajectory_length(frames, gap):
     s1, _ = frames
     model = train_stage1(s1[:40], QUICK)
-    _, trajectory = rollout(model, s1[0], gap)
-    assert len(trajectory) == gap
-    assert all(t.shape == (5,) for t in trajectory)
+    _, latents, _, _ = nc.rollout_forward(model, s1[0].input[None], gap)
+    assert len(latents) == gap
+    assert all(latent.shape == (1, 5) for latent in latents)
 
 
 def test_rollout_zero_weights():
@@ -266,6 +265,25 @@ def test_parallel_jobs_match_sequential(small_cohort):
     parallel = cross_validate(small_cohort, config, jobs=2)
     for name in ("WBC", "UA"):
         assert sequential.parameters[name].per_fold_r2 == parallel.parameters[name].per_fold_r2
+
+
+def test_scaled_init_views_alias_the_vector(frames):
+    s1, _ = frames
+    assert views_alias_vector(_scaled_init(LabParameter.WBC, QUICK, s1[:20]))
+
+
+def test_final_models_from_workers_match_and_keep_views(small_cohort):
+    from glp.pipeline import train_final_models
+
+    config = TrainConfig(epochs=2, seed=8, parameters=(LabParameter.WBC, LabParameter.UA))
+    chosen = {"WBC": 2, "UA": 0}
+    sequential = train_final_models(small_cohort, config, chosen, jobs=1)
+    parallel = train_final_models(small_cohort, config, chosen, jobs=2)
+    for parameter, model in parallel.items():
+        assert nc.models_equal(model, sequential[parameter])
+        assert views_alias_vector(model)
+        model.regressor.b3[0] += 1.0  # a write through a view reaches the vector
+        assert not nc.models_equal(model, sequential[parameter])
 
 
 def test_train_final_models_respects_chosen(small_cohort):

@@ -12,11 +12,10 @@ from glp.cohort import (
 )
 from glp.errors import EvaluationError, TrainingError
 from glp.transfer import (
+    _balanced_indices,
     auroc,
     classification_metrics,
     cohens_kappa,
-    downsample_negatives,
-    extract_features,
     extract_features_bulk,
     mean_pairwise_kappa,
     run_downstream_study,
@@ -45,7 +44,7 @@ def test_seed_frame_constant_carry():
 
 
 def test_extract_features_shapes():
-    features = extract_features(_models(), _record(gap=5))
+    (features,) = extract_features_bulk(_models(), [_record(gap=5)])
     assert features.emb.shape == (30,)
     assert features.out.shape == (6,)
     assert features.raw.shape == (6,)
@@ -55,7 +54,7 @@ def test_extract_features_shapes():
 def test_extract_features_gap_zero_is_single_pass():
     models = _models()
     record = _record(gap=0)
-    features = extract_features(models, record)
+    (features,) = extract_features_bulk(models, [record])
     for i, parameter in enumerate(PARAMETER_ORDER):
         x0 = seed_frame(record, parameter)[None]
         out, _ = nc.libc_forward(models[parameter].libc, x0)
@@ -66,7 +65,7 @@ def test_extract_features_gap_zero_is_single_pass():
 
 def test_extract_features_zero_weights():
     zero = {p: nc.vector_to_model(np.zeros(nc.n_parameters()), p, 0) for p in PARAMETER_ORDER}
-    features = extract_features(zero, _record(gap=7))
+    (features,) = extract_features_bulk(zero, [_record(gap=7)])
     assert np.all(features.out == 0.0)
 
 
@@ -77,31 +76,40 @@ def test_bulk_matches_single():
     )
     bulk = extract_features_bulk(models, records)
     for record, features in zip(records, bulk):
-        single = extract_features(models, record)
-        np.testing.assert_allclose(features.emb, single.emb, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(features.out, single.out, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(features.out_half, single.out_half, rtol=1e-12, atol=1e-12)
+        # one record at a time through the forward that `evaluate_r2` uses
+        for i, parameter in enumerate(PARAMETER_ORDER):
+            model = models[parameter]
+            x0 = seed_frame(record, parameter)[None]
+            pred, latents, _, _ = nc.rollout_forward(model, x0, record.gap_months)
+            half_index = max(1, -(-record.gap_months // 2)) - 1  # ceil(g/2), 1-based
+            half, _ = nc.regressor_forward(model.regressor, latents[half_index])
+            np.testing.assert_allclose(features.emb[5 * i : 5 * i + 5], latents[-1][0],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(features.out[i], pred[0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(features.out_half[i], half[0], rtol=1e-12, atol=1e-12)
+
+
+def _labels(spec):
+    return np.array([r.label for r in generate_downstream_cohort(spec)], dtype=int)
 
 
 def test_downsample_counts_and_determinism():
-    records = generate_downstream_cohort(DownstreamSpec(n_positive=42, n_negative=441, seed=1))
-    balanced = downsample_negatives(records, seed=7)
+    labels = _labels(DownstreamSpec(n_positive=42, n_negative=441, seed=1))
+    balanced = _balanced_indices(labels, seed=7)
     assert len(balanced) == 84
-    assert sum(r.label for r in balanced) == 42
-    again = downsample_negatives(records, seed=7)
-    assert [r.patient_id for r in balanced] == [r.patient_id for r in again]
+    assert labels[balanced].sum() == 42
+    assert np.array_equal(balanced, _balanced_indices(labels, seed=7))
 
 
 def test_downsample_balanced_input_unchanged():
-    records = generate_downstream_cohort(DownstreamSpec(n_positive=8, n_negative=8, seed=2))
-    balanced = downsample_negatives(records, seed=0)
-    assert sorted(r.patient_id for r in balanced) == sorted(r.patient_id for r in records)
+    labels = _labels(DownstreamSpec(n_positive=8, n_negative=8, seed=2))
+    assert np.array_equal(_balanced_indices(labels, seed=0), np.arange(16))
 
 
 def test_downsample_requires_enough_negatives():
-    records = generate_downstream_cohort(DownstreamSpec(n_positive=5, n_negative=3, seed=2))
+    labels = _labels(DownstreamSpec(n_positive=5, n_negative=3, seed=2))
     with pytest.raises(TrainingError):
-        downsample_negatives(records, seed=0)
+        _balanced_indices(labels, seed=0)
 
 
 def brute_force_auroc(labels, scores):
