@@ -95,9 +95,18 @@ PARAM_LAYOUT: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-_N_PARAMETERS = sum(
-    int(np.prod(shape)) for _, shape in PARAM_LAYOUT
-)
+def _layout_slots() -> tuple[tuple[str, str, slice, tuple[int, ...]], ...]:
+    slots, offset = [], 0
+    for path, shape in PARAM_LAYOUT:
+        group, name = path.split(".")
+        size = int(np.prod(shape))
+        slots.append((group, name, slice(offset, offset + size), shape))
+        offset += size
+    return tuple(slots)
+
+
+_LAYOUT_SLOTS = _layout_slots()  # (group, name, flat slice, shape), computed once
+_N_PARAMETERS = _LAYOUT_SLOTS[-1][2].stop
 
 
 def n_parameters() -> int:
@@ -109,12 +118,8 @@ def param_views(buf: np.ndarray) -> tuple[LibcParams, RegressorParams]:
     leading axes carry through to every view."""
     lead = buf.shape[:-1]
     groups: dict[str, dict[str, np.ndarray]] = {"libc": {}, "regressor": {}}
-    offset = 0
-    for path, shape in PARAM_LAYOUT:
-        group, name = path.split(".")
-        size = int(np.prod(shape))
-        groups[group][name] = buf[..., offset : offset + size].reshape(lead + shape)
-        offset += size
+    for group, name, flat, shape in _LAYOUT_SLOTS:
+        groups[group][name] = buf[..., flat].reshape(lead + shape)
     return LibcParams(**groups["libc"]), RegressorParams(**groups["regressor"])
 
 

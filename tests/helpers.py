@@ -62,18 +62,22 @@ def batched_rollout_losses(
     P = vectors.shape[0]
     B, T, _ = x0.shape
     applications = max(int(gap), 1)
+    # stacked matmuls over the probe (and direction) axes; einsum is ~2x slower here
+    w_x_t = np.ascontiguousarray(libc.w_x.transpose(0, 1, 3, 2))  # (P, 2, 5, 20)
+    w_h_t = np.ascontiguousarray(libc.w_h.transpose(0, 1, 3, 2))  # (P, 2, 5, 20)
 
     seq = np.broadcast_to(x0, (P, B, T, 5))
     for k in range(applications):
-        xs = np.stack([seq, seq[:, :, ::-1, :]], axis=1)  # (P, 2, B, T, 5)
-        xz = np.einsum("pdbti,pdgi->pdbtg", xs, libc.w_x) + libc.b[:, :, None, None, :]
+        xs = np.stack([seq, seq[:, :, ::-1, :]], axis=1).reshape(P, 2, B * T, 5)
+        xz = (xs @ w_x_t).reshape(P, 2, B, T, 20) + libc.b[:, :, None, None, :]
         h = np.zeros((P, 2, B, 5))
         c = np.zeros((P, 2, B, 5))
         hs = np.empty((P, 2, B, T, 5))
         for t in range(T):
-            z = xz[:, :, :, t, :] + np.einsum("pdbj,pdgj->pdbg", h, libc.w_h)
-            gi = _sigmoid(z[..., 0:5])
-            gf = _sigmoid(z[..., 5:10])
+            z = xz[:, :, :, t, :] + h @ w_h_t
+            gi_gf = _sigmoid(z[..., 0:10])
+            gi = gi_gf[..., 0:5]
+            gf = gi_gf[..., 5:10]
             gg = np.tanh(z[..., 10:15])
             go = _sigmoid(z[..., 15:20])
             c = gf * c + gi * gg
@@ -81,7 +85,8 @@ def batched_rollout_losses(
             hs[:, :, :, t] = h
         concat = np.concatenate([hs[:, 0], hs[:, 1, :, ::-1, :]], axis=3)  # (P, B, T, 10)
         act = np.maximum(concat, 0.0)
-        pre = np.einsum("pbti,pji->pbtj", act, libc.w_c) + libc.b_c[:, None, None, :]
+        pre = (act.reshape(P, B * T, 10) @ libc.w_c.transpose(0, 2, 1)).reshape(P, B, T, 5)
+        pre = pre + libc.b_c[:, None, None, :]
         out = np.maximum(pre, 0.0)
         if k < applications - 1:
             nxt = np.empty_like(out)
@@ -93,11 +98,11 @@ def batched_rollout_losses(
             seq = nxt
 
     latent = out[:, :, -1, :]  # (P, B, 5)
-    z1 = np.einsum("pbj,pij->pbi", latent, reg.w1) + reg.b1[:, None, :]
+    z1 = latent @ reg.w1.transpose(0, 2, 1) + reg.b1[:, None, :]
     a1 = np.maximum(z1, 0.0)
-    z2 = np.einsum("pbj,pij->pbi", a1, reg.w2) + reg.b2[:, None, :]
+    z2 = a1 @ reg.w2.transpose(0, 2, 1) + reg.b2[:, None, :]
     a2 = np.maximum(z2, 0.0)
-    pred = np.einsum("pbj,pij->pbi", a2, reg.w3)[:, :, 0] + reg.b3
+    pred = (a2 @ reg.w3.transpose(0, 2, 1))[:, :, 0] + reg.b3
     diff = pred - targets[None, :]
     return np.mean(diff * diff, axis=1)
 
