@@ -18,8 +18,8 @@ CSV schemas (UTF-8, newline-terminated, '.' decimal separator):
     episodic: patient_id,age,gender,chol_hdl,ldl,ldl_hdl,glucose_ac,wbc,ua,gap_months,label
 
 Bad rows (unparseable fields, "NA"/"." values, non-positive values, repeated
-or non-increasing months) are rejected per row and reported; patients missing
-any of the six series are rejected whole.
+or non-increasing months, months or gaps past `MAX_MONTHS`) are rejected per
+row and reported; patients missing any of the six series are rejected whole.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ class LabParameter(Enum):
 
 
 PARAMETER_ORDER: tuple[LabParameter, ...] = tuple(LabParameter)
+
+# The longest span the readers' accepted age range [18, 110] allows. It bounds
+# a pretext month and an episodic gap: interpolation fills every month up to
+# the last and feature extraction unrolls every record to the largest gap.
+MAX_MONTHS = 12 * (110 - 18)
 
 # episodic CSV column name per parameter
 EPISODIC_COLUMNS = {
@@ -333,8 +338,8 @@ def read_cohort_csv(path: str | Path) -> CohortReadResult:
                 gender = Gender(gender_text)
                 parameter = LabParameter(parameter_text)
                 month = int(month_text)
-                if month < 0:
-                    raise ValueError("negative month")
+                if not 0 <= month <= MAX_MONTHS:
+                    raise ValueError(f"month {month} outside [0, {MAX_MONTHS}]")
                 value = _parse_value(value_text)
             except ValueError as exc:
                 result.rejected_rows.append(RowRejection(line, str(exc)))
@@ -395,8 +400,8 @@ def read_episodic_csv(path: str | Path) -> EpisodicReadResult:
                 gender = Gender(row[2])
                 values = {p: _parse_value(row[3 + i]) for i, p in enumerate(PARAMETER_ORDER)}
                 gap = int(row[9])
-                if gap < 1:
-                    raise ValueError("gap_months must be >= 1")
+                if not 1 <= gap <= MAX_MONTHS:
+                    raise ValueError(f"gap_months {gap} outside [1, {MAX_MONTHS}]")
                 if row[10] not in ("0", "1"):
                     raise ValueError(f"label must be 0 or 1, got {row[10]!r}")
             except ValueError as exc:

@@ -21,11 +21,16 @@ from .errors import EncodingError
 
 FRAME_WIDTH = 12
 
-# (lower thresholds, comparison) per parameter; see `encode_discrete`.
-_TWO_LEVEL = {
-    LabParameter.CHOL_HDL: 5.0,
-    LabParameter.LDL: 160.0,
-    LabParameter.LDL_HDL: 3.5,
+# Clinical reference thresholds per parameter (ascending) and the `np.searchsorted`
+# side that places a value equal to a threshold: "left" in the lower code (<=),
+# "right" in the upper one (<; WBC only).
+CODE_THRESHOLDS: dict[LabParameter, tuple[np.ndarray, str]] = {
+    LabParameter.CHOL_HDL: (np.array([5.0]), "left"),
+    LabParameter.LDL: (np.array([160.0]), "left"),
+    LabParameter.LDL_HDL: (np.array([3.5]), "left"),
+    LabParameter.GLUCOSE_AC: (np.array([100.0, 125.0]), "left"),
+    LabParameter.WBC: (np.array([4.0, 9.0]), "right"),
+    LabParameter.UA: (np.array([3.4, 7.0]), "left"),
 }
 
 
@@ -41,28 +46,11 @@ def denormalize(y: float) -> float:
     return math.expm1(y)
 
 
-def encode_discrete(parameter: LabParameter, value: float) -> int:
-    """Bucket a lab value into its discrete reference category.
-
-    Chol/HDL <=5 -> 0 else 1; LDL <=160 -> 0 else 1; LDL/HDL <=3.5 -> 0 else 1;
-    glucose AC <=100 -> 0, <=125 -> 1, else 2; WBC <4 -> 0, <9 -> 1, else 2;
-    UA <=3.4 -> 0, <=7 -> 1, else 2.
-    """
-    return int(discrete_codes(parameter, np.asarray([value], dtype=float))[0])
-
-
 def discrete_codes(parameter: LabParameter, values: np.ndarray) -> np.ndarray:
-    """Vectorized `encode_discrete` over an array of native-unit values."""
-    v = np.asarray(values, dtype=float)
-    if parameter in _TWO_LEVEL:
-        return (v > _TWO_LEVEL[parameter]).astype(float)
-    if parameter is LabParameter.GLUCOSE_AC:
-        return np.where(v <= 100.0, 0.0, np.where(v <= 125.0, 1.0, 2.0))
-    if parameter is LabParameter.WBC:
-        return np.where(v < 4.0, 0.0, np.where(v < 9.0, 1.0, 2.0))
-    if parameter is LabParameter.UA:
-        return np.where(v <= 3.4, 0.0, np.where(v <= 7.0, 1.0, 2.0))
-    raise EncodingError(f"unknown parameter {parameter}")
+    """Bucket native-unit lab values into their discrete reference codes
+    (0, 1 or 2, as floats) by `CODE_THRESHOLDS`."""
+    thresholds, side = CODE_THRESHOLDS[parameter]
+    return np.searchsorted(thresholds, values, side=side).astype(float)
 
 
 def encode_frame(

@@ -25,6 +25,12 @@ copy the views apart from the vector, so a model pickles as its vector alone
 and rebuilds the views when it is unpickled (as it is on return from a
 worker process).
 
+A (M, 516) vector is a stack of M models: its views carry the leading M axis,
+and the forward functions (`libc_forward`, `regressor_forward`, `next_input`,
+`rollout_forward`) run all M at once on one (B, 12, 5) input batch, giving
+outputs with a leading M axis. The backward functions and training take one
+model.
+
 Training graphs
 ---------------
 `rollout_loss_and_grads` computes batch-mean MSE and its exact gradient for
@@ -146,15 +152,6 @@ def vector_to_model(vec: np.ndarray, parameter: LabParameter, certain: int) -> G
     return GlpModel(parameter, certain, np.array(vec, dtype=np.float64))
 
 
-def models_equal(a: GlpModel, b: GlpModel) -> bool:
-    return (
-        a.parameter is b.parameter
-        and a.certain == b.certain
-        and a.version == b.version
-        and np.array_equal(a.vector, b.vector)
-    )
-
-
 def init_model(parameter: LabParameter, certain: int, seed: int) -> GlpModel:
     """Uniform +-sqrt(6/(fan_in+fan_out)) per affine map and gate block;
     forget-gate bias starts at 1."""
@@ -190,62 +187,66 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LibcTrace:
-    xs: np.ndarray        # (2, B, 12, 5) scan-order inputs
-    gate_i: np.ndarray    # (2, B, 12, 5)
+    xs: np.ndarray        # (..., 2, B, 12, 5) scan-order inputs
+    gate_i: np.ndarray    # (..., 2, B, 12, 5)
     gate_f: np.ndarray
     gate_g: np.ndarray
     gate_o: np.ndarray
-    c_prev: np.ndarray    # (2, B, 12, 5)
+    c_prev: np.ndarray    # (..., 2, B, 12, 5)
     tanh_c: np.ndarray
     h_prev: np.ndarray
-    concat: np.ndarray    # (B, 12, 10) aligned pre-ReLU
-    pre: np.ndarray       # (B, 12, 5) pre-ReLU condensed
+    concat: np.ndarray    # (..., B, 12, 10) aligned pre-ReLU
+    pre: np.ndarray       # (..., B, 12, 5) pre-ReLU condensed
 
 
 def libc_forward(p: LibcParams, x: np.ndarray, need_trace: bool = False):
-    """Run the encoder over a (B, 12, 5) batch; returns (out, trace)."""
+    """Run the encoder over a (..., B, 12, 5) batch; returns (out, trace).
+    Leading axes of `p` and `x` broadcast, so a stack of models runs at once."""
     if not np.all(np.isfinite(x)):
         raise TrainingError("non-finite encoder input")
-    B, T, _ = x.shape
-    xs = np.stack([x, x[:, ::-1, :]])  # direction 0 reads months forward, 1 backward
-    w_x_t = p.w_x.transpose(0, 2, 1)  # (2, 5, 20)
-    w_h_t = p.w_h.transpose(0, 2, 1)  # (2, 5, 20)
-    xz = xs.reshape(2, B * T, CHANNELS) @ w_x_t
-    xz = xz.reshape(2, B, T, GATE_ROWS) + p.b[:, None, None, :]
-    h = np.zeros((2, B, HIDDEN))
-    c = np.zeros((2, B, HIDDEN))
-    hs = np.empty((2, B, T, HIDDEN))
+    B, T, _ = x.shape[-3:]
+    xs = np.stack([x, x[..., ::-1, :]], axis=-4)  # direction 0 reads months forward, 1 backward
+    # transposed views, not contiguous copies: a copy changes the BLAS path and the bits
+    w_x_t = np.swapaxes(p.w_x, -1, -2)  # (..., 2, 5, 20)
+    w_h_t = np.swapaxes(p.w_h, -1, -2)  # (..., 2, 5, 20)
+    xz = xs.reshape(xs.shape[:-3] + (B * T, CHANNELS)) @ w_x_t
+    xz = xz.reshape(xz.shape[:-2] + (B, T, GATE_ROWS)) + p.b[..., None, None, :]
+    h = np.zeros(xz.shape[:-2] + (HIDDEN,))
+    c = np.zeros_like(h)
+    hs = np.empty(xz.shape[:-1] + (HIDDEN,))
     if need_trace:
         tr = LibcTrace(
             xs=xs,
-            gate_i=np.empty((2, B, T, HIDDEN)), gate_f=np.empty((2, B, T, HIDDEN)),
-            gate_g=np.empty((2, B, T, HIDDEN)), gate_o=np.empty((2, B, T, HIDDEN)),
-            c_prev=np.empty((2, B, T, HIDDEN)), tanh_c=np.empty((2, B, T, HIDDEN)),
-            h_prev=np.empty((2, B, T, HIDDEN)), concat=None, pre=None,
+            gate_i=np.empty_like(hs), gate_f=np.empty_like(hs),
+            gate_g=np.empty_like(hs), gate_o=np.empty_like(hs),
+            c_prev=np.empty_like(hs), tanh_c=np.empty_like(hs),
+            h_prev=np.empty_like(hs), concat=None, pre=None,
         )
     for t in range(T):
-        z = xz[:, :, t, :] + h @ w_h_t
+        z = xz[..., t, :] + h @ w_h_t
         gi_gf = _sigmoid(z[..., 0:10])
         gi = gi_gf[..., 0:5]
         gf = gi_gf[..., 5:10]
         gg = np.tanh(z[..., 10:15])
         go = _sigmoid(z[..., 15:20])
         if need_trace:
-            tr.gate_i[:, :, t] = gi
-            tr.gate_f[:, :, t] = gf
-            tr.gate_g[:, :, t] = gg
-            tr.gate_o[:, :, t] = go
-            tr.c_prev[:, :, t] = c
-            tr.h_prev[:, :, t] = h
+            tr.gate_i[..., t, :] = gi
+            tr.gate_f[..., t, :] = gf
+            tr.gate_g[..., t, :] = gg
+            tr.gate_o[..., t, :] = go
+            tr.c_prev[..., t, :] = c
+            tr.h_prev[..., t, :] = h
         c = gf * c + gi * gg
         tc = np.tanh(c)
         h = go * tc
         if need_trace:
-            tr.tanh_c[:, :, t] = tc
-        hs[:, :, t] = h
-    concat = np.concatenate([hs[0], hs[1][:, ::-1, :]], axis=2)  # (B, T, 10)
+            tr.tanh_c[..., t, :] = tc
+        hs[..., t, :] = h
+    # both directions aligned by month: (..., B, T, 10)
+    concat = np.concatenate([hs[..., 0, :, :, :], hs[..., 1, :, ::-1, :]], axis=-1)
     act = np.maximum(concat, 0.0)
-    pre = act @ p.w_c.T + p.b_c
+    # the inserted axis lines the model axes of w_c up with those of act, past B
+    pre = act @ np.swapaxes(p.w_c, -1, -2)[..., None, :, :] + p.b_c[..., None, None, :]
     out = np.maximum(pre, 0.0)
     if need_trace:
         tr.concat = concat
@@ -306,14 +307,15 @@ class RegressorTrace:
 
 
 def regressor_forward(p: RegressorParams, latent: np.ndarray, need_trace: bool = False):
-    """Forecast scalar from a (B, 5) latent batch; returns (pred, trace)."""
+    """Forecast scalar from a (..., B, 5) latent batch; returns (pred (..., B), trace).
+    Leading axes of `p` and `latent` broadcast, as in `libc_forward`."""
     if not np.all(np.isfinite(latent)):
         raise TrainingError("non-finite regressor input")
-    z1 = latent @ p.w1.T + p.b1
+    z1 = latent @ np.swapaxes(p.w1, -1, -2) + p.b1[..., None, :]
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ p.w2.T + p.b2
+    z2 = a1 @ np.swapaxes(p.w2, -1, -2) + p.b2[..., None, :]
     a2 = np.maximum(z2, 0.0)
-    y = (a2 @ p.w3.T + p.b3)[:, 0]
+    y = (a2 @ np.swapaxes(p.w3, -1, -2) + p.b3[..., None, :])[..., 0]
     if need_trace:
         return y, RegressorTrace(latent, z1, a1, z2, a2)
     return y, None
@@ -344,13 +346,14 @@ def regressor_backward(p: RegressorParams, tr: RegressorTrace, d_y: np.ndarray,
 def next_input(out: np.ndarray, x0: np.ndarray, parameter: LabParameter) -> np.ndarray:
     """Reproject an encoder output onto the frame-encoding manifold so it can
     feed the next application: age/gender held from the original frame, flag
-    0 (estimated), discrete code recomputed from the denormalized value."""
+    0 (estimated), discrete code recomputed from the denormalized value.
+    `out` may carry leading model axes over the (B, 12, 5) shape of `x0`."""
     nxt = np.empty_like(out)
-    nxt[:, :, 0] = x0[:, 0:1, 0]
-    nxt[:, :, 1] = x0[:, 0:1, 1]
-    nxt[:, :, 2] = 0.0
-    nxt[:, :, 3] = discrete_codes(parameter, np.expm1(out[:, :, 4]))
-    nxt[:, :, 4] = out[:, :, 4]
+    nxt[..., 0] = x0[..., 0:1, 0]
+    nxt[..., 1] = x0[..., 0:1, 1]
+    nxt[..., 2] = 0.0
+    nxt[..., 3] = discrete_codes(parameter, np.expm1(out[..., 4]))
+    nxt[..., 4] = out[..., 4]
     return nxt
 
 
@@ -358,7 +361,9 @@ def rollout_forward(model: GlpModel, x0: np.ndarray, gap: int, need_trace: bool 
     """Apply the encoder max(gap, 1) times, then the regressor once.
 
     Returns (pred (B,), latents, libc_traces, regressor_trace) where latents
-    has one final-month (B, 5) vector per encoder application.
+    has one final-month (B, 5) vector per encoder application. A model whose
+    vector is (M, 516) is a stack of M models: pred is (M, B) and each latent
+    (M, B, 5).
     """
     applications = max(int(gap), 1)
     seq = x0
@@ -368,7 +373,7 @@ def rollout_forward(model: GlpModel, x0: np.ndarray, gap: int, need_trace: bool 
         out, tr = libc_forward(model.libc, seq, need_trace)
         if need_trace:
             traces.append(tr)
-        latents.append(out[:, -1, :])
+        latents.append(out[..., -1, :])
         if k < applications - 1:
             seq = next_input(out, x0, model.parameter)
     pred, rtr = regressor_forward(model.regressor, latents[-1], need_trace)

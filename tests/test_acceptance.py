@@ -38,7 +38,7 @@ from glp.stats import pearson, r_squared, t_test
 from glp.transfer import auroc, cohens_kappa, run_downstream_study
 from helpers import (
     KINK_GUARD,
-    batched_rollout_losses,
+    fd_gradient,
     make_glucose_batch,
     min_kink_distance,
     relative_errors,
@@ -98,21 +98,16 @@ def test_gradient_oracle():
             ) > KINK_GUARD:
                 break
             attempt += 10_000  # finite differences are meaningless across a kink
-        probes = np.repeat(vec[None, :], 2 * vec.size, axis=0)
-        idx = np.arange(vec.size)
-        probes[2 * idx, idx] += eps
-        probes[2 * idx + 1, idx] -= eps
         for gap in (0, 6):
             loss, analytic = nc.rollout_loss_and_grads(model, x, targets, gap)
-            losses = batched_rollout_losses(probes, model.parameter, x, targets, gap)
-            # the probe evaluator must agree with the production forward
+            fd, probes, losses = fd_gradient(vec, model.parameter, x, targets, gap, eps)
+            # the stacked forward must agree with single-model forward calls
             for j in rng.integers(0, len(probes), 2):
                 pred, _, _, _ = nc.rollout_forward(
                     nc.vector_to_model(probes[j], model.parameter, 0), x, gap
                 )
                 reference = float(np.mean((pred - targets) ** 2))
                 assert abs(reference - losses[j]) <= 1e-12 * max(1.0, abs(reference))
-            fd = (losses[0::2] - losses[1::2]) / (2 * eps)
             worst = max(worst, float(relative_errors(analytic, fd, loss).max()))
             checked += 1
     elapsed = time.perf_counter() - started

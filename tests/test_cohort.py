@@ -7,6 +7,7 @@ from glp.cohort import (
     DownstreamSpec,
     GeneratorSpec,
     LabParameter,
+    MAX_MONTHS,
     PARAMETER_ORDER,
     generate_downstream_cohort,
     generate_pretext_cohort,
@@ -144,10 +145,11 @@ def test_cohort_csv_rejections(tmp_path):
     bad_age = good.copy()
     bad_age[0], bad_age[1] = "P9999X", "140"
     lines.append(",".join(bad_age))                    # age out of range
+    lines.append(",".join(good[:4] + [str(MAX_MONTHS + 1)] + good[5:]))  # month past MAX_MONTHS
     path.write_text("\n".join(lines) + "\n")
 
     result = read_cohort_csv(path)
-    assert len(result.rejected_rows) == 5
+    assert len(result.rejected_rows) == 6
     reasons = " | ".join(r.reason for r in result.rejected_rows)
     assert "'NA'" in reasons and "not increasing" in reasons
     # the two intact patients still parse
@@ -177,7 +179,10 @@ def test_episodic_csv_rejections(tmp_path):
     row2 = lines[1].split(",")
     row2[10] = "2"
     lines.append(",".join(row2))       # bad label
+    row3 = lines[1].split(",")
+    row3[9] = str(MAX_MONTHS + 1)
+    lines.append(",".join(row3))       # gap past MAX_MONTHS
     path.write_text("\n".join(lines) + "\n")
     result = read_episodic_csv(path)
-    assert len(result.rejected_rows) == 2
+    assert len(result.rejected_rows) == 3
     assert result.records == records

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from glp.cohort import Gender, LabParameter
-from glp.encoding import (
-    denormalize,
-    discrete_codes,
-    encode_discrete,
-    encode_frame,
-    normalize,
-)
+from glp.encoding import denormalize, discrete_codes, encode_frame, normalize
 from glp.errors import EncodingError
 
 
@@ -36,9 +30,9 @@ def test_normalize_strictly_increasing():
 
 
 def test_discrete_examples():
-    assert encode_discrete(LabParameter.GLUCOSE_AC, 110) == 1
-    assert encode_discrete(LabParameter.WBC, 4.0) == 1
-    assert encode_discrete(LabParameter.CHOL_HDL, 5.0) == 0
+    assert discrete_codes(LabParameter.GLUCOSE_AC, [110])[0] == 1
+    assert discrete_codes(LabParameter.WBC, [4.0])[0] == 1
+    assert discrete_codes(LabParameter.CHOL_HDL, [5.0])[0] == 0
 
 
 # (parameter, threshold, code at threshold, code just above)
@@ -57,11 +51,11 @@ BOUNDARIES = [
 
 @pytest.mark.parametrize("parameter,threshold,at,above", BOUNDARIES)
 def test_discrete_boundaries(parameter, threshold, at, above):
-    assert encode_discrete(parameter, threshold) == at
-    assert encode_discrete(parameter, threshold + 1e-9) == above
+    assert discrete_codes(parameter, [threshold])[0] == at
+    assert discrete_codes(parameter, [threshold + 1e-9])[0] == above
     # strictness on the lower side for the <-style thresholds
     if at != above:
-        assert encode_discrete(parameter, threshold - 1e-9) == at
+        assert discrete_codes(parameter, [threshold - 1e-9])[0] == at
 
 
 @pytest.mark.parametrize("parameter", list(LabParameter))

@@ -106,6 +106,21 @@ def test_regressor_output_scalar():
     assert pred.shape == (6,)
 
 
+@pytest.mark.parametrize("gap", [0, 3])
+def test_stacked_models_match_single_models(gap):
+    singles = [random_model(seed) for seed in (20, 21, 22)]
+    stacked = nc.GlpModel(LabParameter.GLUCOSE_AC, 0, np.stack([m.vector for m in singles]))
+    assert views_alias_vector(stacked)
+    x, _ = make_glucose_batch(4, np.random.default_rng(gap))
+    pred, latents, _, _ = nc.rollout_forward(stacked, x, gap)
+    assert pred.shape == (3, 4) and len(latents) == max(gap, 1)
+    for m, single in enumerate(singles):
+        pred_m, latents_m, _, _ = nc.rollout_forward(single, x, gap)
+        np.testing.assert_allclose(pred[m], pred_m, rtol=0, atol=1e-12)
+        for latent, latent_m in zip(latents, latents_m):
+            np.testing.assert_allclose(latent[m], latent_m, rtol=0, atol=1e-12)
+
+
 def test_nonfinite_input_rejected():
     model = random_model(4)
     x, _ = make_glucose_batch(1, np.random.default_rng(1))
@@ -183,7 +198,8 @@ def test_weight_file_round_trip(tmp_path):
     path = tmp_path / "ua.glp"
     nc.save_weights(model, path)
     loaded = nc.load_weights(path)
-    assert nc.models_equal(model, loaded)
+    assert (loaded.parameter, loaded.certain, loaded.version) == (model.parameter, 4, 1)
+    assert np.array_equal(model.vector, loaded.vector)
     assert nc.model_checksum(model) == nc.model_checksum(loaded)
 
 

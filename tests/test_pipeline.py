@@ -58,7 +58,7 @@ def test_training_determinism(frames):
     s1, _ = frames
     a = train_stage1(s1[:60], QUICK)
     b = train_stage1(s1[:60], QUICK)
-    assert nc.models_equal(a, b)
+    assert np.array_equal(a.vector, b.vector)
 
 
 def test_stage2_with_zero_gaps_equals_stage1(frames):
@@ -68,7 +68,7 @@ def test_stage2_with_zero_gaps_equals_stage1(frames):
     supervised = train_stage1(subset, config)
     start = _scaled_init(LabParameter.WBC, config, subset)
     via_stage2 = train_stage2(start, subset, config)
-    assert nc.models_equal(supervised, via_stage2)
+    assert np.array_equal(supervised.vector, via_stage2.vector)
     # identical per-batch loss sequences as well
     start1 = _scaled_init(LabParameter.WBC, config, subset)
     start2 = _scaled_init(LabParameter.WBC, config, subset)
@@ -80,8 +80,8 @@ def test_stage2_with_zero_gaps_equals_stage1(frames):
 def test_hybrid_without_stage2_equals_supervised(frames):
     s1, _ = frames
     subset = s1[:60]
-    assert nc.models_equal(
-        train_hybrid(subset, [], QUICK), train_stage1(subset, QUICK)
+    assert np.array_equal(
+        train_hybrid(subset, [], QUICK).vector, train_stage1(subset, QUICK).vector
     )
 
 
@@ -280,10 +280,10 @@ def test_final_models_from_workers_match_and_keep_views(small_cohort):
     sequential = train_final_models(small_cohort, config, chosen, jobs=1)
     parallel = train_final_models(small_cohort, config, chosen, jobs=2)
     for parameter, model in parallel.items():
-        assert nc.models_equal(model, sequential[parameter])
+        assert np.array_equal(model.vector, sequential[parameter].vector)
         assert views_alias_vector(model)
         model.regressor.b3[0] += 1.0  # a write through a view reaches the vector
-        assert not nc.models_equal(model, sequential[parameter])
+        assert not np.array_equal(model.vector, sequential[parameter].vector)
 
 
 def test_train_final_models_respects_chosen(small_cohort):
