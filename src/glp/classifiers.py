@@ -5,8 +5,10 @@ well-defined:
 
 * gradient-boosted trees: depth-3 regression trees on logistic loss, 100
   rounds, learning rate 0.1, exact greedy splits (midpoint thresholds,
-  first-best tie break); score is the boosted log-odds. Zero-gain splits are
-  allowed while the node is impure, which lets depth-2 trees carve XOR-style
+  first-best tie break in feature-then-position order), a node's gains for
+  every feature and position computed at once from cumulative gradient and
+  hessian sums; score is the boosted log-odds. Zero-gain splits are allowed
+  while the node is impure, which lets depth-2 trees carve XOR-style
   interactions that have no first-order axis gain at the root.
 * max-margin linear: L2-regularized hinge loss, full-batch subgradient
   descent with a decaying step; score is the signed margin.
@@ -70,23 +72,23 @@ def _fit_tree(x, grad, hess, depth, max_depth, min_child):
     if depth >= max_depth or x.shape[0] < 2 * min_child or np.allclose(grad, grad[0]):
         return node
     total_gain = grad.sum() ** 2 / (hess.sum() + 1e-12)
-    best = None
-    for feature in range(x.shape[1]):
-        order = np.argsort(x[:, feature], kind="stable")
-        xs = x[order, feature]
-        gs = np.cumsum(grad[order])
-        hs = np.cumsum(hess[order])
-        for i in range(min_child - 1, x.shape[0] - min_child):
-            if xs[i] == xs[i + 1]:
-                continue
-            gl, hl = gs[i], hs[i]
-            gr, hr = gs[-1] - gl, hs[-1] - hl
-            gain = gl * gl / (hl + 1e-12) + gr * gr / (hr + 1e-12) - total_gain
-            if best is None or gain > best[0]:
-                best = (gain, feature, 0.5 * (xs[i] + xs[i + 1]))
-    if best is None or best[0] < 0.0:
+    # row i of gain splits every feature between its sorted rows i and i + 1
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    gs = np.cumsum(grad[order], axis=0)
+    hs = np.cumsum(hess[order], axis=0)
+    gl, hl = gs[:-1], hs[:-1]
+    gr, hr = gs[-1] - gl, hs[-1] - hl
+    gain = gl * gl / (hl + 1e-12) + gr * gr / (hr + 1e-12) - total_gain
+    gain[xs[:-1] == xs[1:]] = -np.inf
+    gain[: min_child - 1] = -np.inf
+    gain[x.shape[0] - min_child :] = -np.inf
+    # feature-major argmax: the first best split in (feature, position) order
+    feature, i = divmod(int(np.argmax(gain.T)), gain.shape[0])
+    if gain[i, feature] < 0.0:
         return node
-    _, node.feature, node.threshold = best
+    node.feature = feature
+    node.threshold = 0.5 * (xs[i, feature] + xs[i + 1, feature])
     mask = x[:, node.feature] <= node.threshold
     node.left = _fit_tree(x[mask], grad[mask], hess[mask], depth + 1, max_depth, min_child)
     node.right = _fit_tree(x[~mask], grad[~mask], hess[~mask], depth + 1, max_depth, min_child)

@@ -361,9 +361,10 @@ def rollout_forward(model: GlpModel, x0: np.ndarray, gap: int, need_trace: bool 
     """Apply the encoder max(gap, 1) times, then the regressor once.
 
     Returns (pred (B,), latents, libc_traces, regressor_trace) where latents
-    has one final-month (B, 5) vector per encoder application. A model whose
-    vector is (M, 516) is a stack of M models: pred is (M, B) and each latent
-    (M, B, 5).
+    has one final-month (B, 5) vector per encoder application, each a copy
+    so that it does not keep that application's (B, 12, 5) output alive. A
+    model whose vector is (M, 516) is a stack of M models: pred is (M, B) and
+    each latent (M, B, 5).
     """
     applications = max(int(gap), 1)
     seq = x0
@@ -373,7 +374,7 @@ def rollout_forward(model: GlpModel, x0: np.ndarray, gap: int, need_trace: bool 
         out, tr = libc_forward(model.libc, seq, need_trace)
         if need_trace:
             traces.append(tr)
-        latents.append(out[..., -1, :])
+        latents.append(out[..., -1, :].copy())
         if k < applications - 1:
             seq = next_input(out, x0, model.parameter)
     pred, rtr = regressor_forward(model.regressor, latents[-1], need_trace)

@@ -25,6 +25,7 @@ threshold).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import time
@@ -153,40 +154,32 @@ def _bucket_batches(data: FrameSet, perm: np.ndarray, batch_size: int):
 
 def _fit(
     model: nc.GlpModel,
-    primary: FrameSet | None,
-    aux: FrameSet | None,
+    sources: list[FrameSet],
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[nc.GlpModel, list[float]]:
+    """Adam over every non-empty source's batches, one permutation per source
+    and epoch drawn in source order, the sources' batches taken round robin."""
     model = nc.vector_to_model(model.vector, model.parameter, model.certain)  # private working copy
     adam = nc.AdamState.create(
         model.vector.size, config.learning_rate, config.beta1, config.beta2, config.epsilon
     )
     history = []
     for _ in range(config.epochs):
-        batches = []
-        if primary is not None and len(primary):
-            batches = _bucket_batches(primary, rng.permutation(len(primary)), config.batch_size)
-        if aux is not None and len(aux):
-            aux_batches = _bucket_batches(aux, rng.permutation(len(aux)), config.batch_size)
-            merged = []
-            for i in range(max(len(batches), len(aux_batches))):
-                if i < len(batches):
-                    merged.append(("primary", batches[i]))
-                if i < len(aux_batches):
-                    merged.append(("aux", aux_batches[i]))
-            sources = {"primary": primary, "aux": aux}
-            ordered = [(sources[name], batch) for name, batch in merged]
-        else:
-            ordered = [(primary, batch) for batch in batches]
-        for data, (indices, gap) in ordered:
-            loss, grads = nc.rollout_loss_and_grads(
-                model, data.x[indices], data.targets[indices], gap,
-                stop_gradient=config.stop_rollout_gradients,
-            )
-            updated, adam = nc.adam_step(model.vector, grads, adam)
-            model.vector[...] = updated
-            history.append(loss)
+        schedules = [
+            [(data, *batch) for batch in
+             _bucket_batches(data, rng.permutation(len(data)), config.batch_size)]
+            for data in sources if len(data)
+        ]
+        for batches in itertools.zip_longest(*schedules):
+            for data, indices, gap in filter(None, batches):
+                loss, grads = nc.rollout_loss_and_grads(
+                    model, data.x[indices], data.targets[indices], gap,
+                    stop_gradient=config.stop_rollout_gradients,
+                )
+                updated, adam = nc.adam_step(model.vector, grads, adam)
+                model.vector[...] = updated
+                history.append(loss)
     return model, history
 
 
@@ -241,7 +234,7 @@ def train_stage1(frames: list[Frame], config: TrainConfig) -> nc.GlpModel:
     _require(frames, "stage 1")
     parameter = _parameter_of(frames)
     model = _scaled_init(parameter, config, frames)
-    model, history = _fit(model, frame_set(frames), None, config, rng_from(config.seed, "fit"))
+    model, history = _fit(model, [frame_set(frames)], config, rng_from(config.seed, "fit"))
     logger.debug("stage1 %s: loss %.5f -> %.5f", parameter.value, history[0], history[-1])
     return model
 
@@ -252,7 +245,7 @@ def train_stage2(model: nc.GlpModel, frames: list[Frame], config: TrainConfig,
     _require(frames, "stage 2")
     if _parameter_of(frames) is not model.parameter:
         raise TrainingError("frame parameter does not match the model")
-    model, history = _fit(model, frame_set(frames), None, config, rng_from(config.seed, rng_label))
+    model, history = _fit(model, [frame_set(frames)], config, rng_from(config.seed, rng_label))
     logger.debug("stage2 %s: loss %.5f -> %.5f", model.parameter.value, history[0], history[-1])
     return model
 
@@ -280,8 +273,8 @@ def train_hybrid(
     _require(stage1_frames, "stage 1")
     parameter = _parameter_of(stage1_frames)
     model = _scaled_init(parameter, config, stage1_frames + list(stage2_frames))
-    aux = frame_set(stage2_frames) if stage2_frames else None
-    model, _ = _fit(model, frame_set(stage1_frames), aux, config, rng_from(config.seed, "fit"))
+    sources = [frame_set(stage1_frames), frame_set(stage2_frames)]
+    model, _ = _fit(model, sources, config, rng_from(config.seed, "fit"))
     return model
 
 
@@ -459,65 +452,56 @@ def _execute(fn, cells, jobs: int):
     return [fn(cell) for cell in cells]
 
 
-def cross_validate(patients: list[Patient], config: TrainConfig, jobs: int = 1) -> PretrainReport:
-    """Fold-rotated training at the configured certainty threshold."""
-    config.validate()
-    started = time.perf_counter()
-    train, test, cells = _parameter_cells(patients, config, [config.certain])
-    results = _execute(_run_parameter_cv, cells, jobs)
-    report = PretrainReport(
-        config_echo=_config_echo(config), seed=config.seed, certain=config.certain,
-        n_patients=len(patients), n_train=len(train), n_test=len(test),
-    )
-    for (_, _, _, _, parameter, certain), (fold_r2, stage1_r2) in zip(cells, results):
-        report.parameters[parameter.value] = ParameterResult(
-            parameter=parameter.value,
-            chosen_certain=certain,
-            per_fold_r2=fold_r2,
-            mean_r2=float(np.mean(fold_r2)),
-            stage1_per_fold_r2=stage1_r2,
-        )
-    report.mean_r2 = float(np.mean([p.mean_r2 for p in report.parameters.values()]))
-    report.wall_clock_seconds = time.perf_counter() - started
-    return report
+def _grid_row(certain: int, fold_r2: list[float], stage1_r2: list[float] | None) -> GridRow:
+    delta = None if stage1_r2 is None else float(np.mean(fold_r2) - np.mean(stage1_r2))
+    return GridRow(certain, float(np.mean(fold_r2)), _half_width(fold_r2), delta)
 
 
-def sweep_certain(patients: list[Patient], config: TrainConfig, jobs: int = 1) -> PretrainReport:
-    """Grid-search certain in 0..5 per parameter; argmax mean R^2, ties toward
-    the smaller threshold."""
+def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
+              jobs: int) -> PretrainReport:
+    """Fold-rotated training at each threshold in `certains`; per parameter the
+    argmax mean R^2 is chosen, ties toward the earlier threshold. A report of
+    one threshold carries no grid."""
     config.validate()
     started = time.perf_counter()
-    train, test, cells = _parameter_cells(patients, config, list(range(6)))
+    train, test, cells = _parameter_cells(patients, config, certains)
     results = _execute(_run_parameter_cv, cells, jobs)
     by_parameter: dict[str, list[tuple[int, list[float], list[float] | None]]] = {}
     for (_, _, _, _, parameter, certain), (fold_r2, stage1_r2) in zip(cells, results):
         by_parameter.setdefault(parameter.value, []).append((certain, fold_r2, stage1_r2))
 
     report = PretrainReport(
-        config_echo=_config_echo(config), seed=config.seed, certain="sweep",
+        config_echo=_config_echo(config), seed=config.seed,
+        certain=certains[0] if len(certains) == 1 else "sweep",
         n_patients=len(patients), n_train=len(train), n_test=len(test),
     )
     for parameter in config.parameters:
-        rows = sorted(by_parameter[parameter.value])
-        grid = []
-        for certain, fold_r2, stage1_r2 in rows:
-            delta = None
-            if stage1_r2 is not None:
-                delta = float(np.mean(fold_r2) - np.mean(stage1_r2))
-            grid.append(GridRow(certain, float(np.mean(fold_r2)), _half_width(fold_r2), delta))
+        rows = by_parameter[parameter.value]
+        grid = [_grid_row(*row) for row in rows]
         chosen = argmax_certain([row.mean_r2 for row in grid])
         _, chosen_fold_r2, chosen_stage1 = rows[chosen]
         report.parameters[parameter.value] = ParameterResult(
             parameter=parameter.value,
-            chosen_certain=chosen,
+            chosen_certain=grid[chosen].certain,
             per_fold_r2=chosen_fold_r2,
             mean_r2=grid[chosen].mean_r2,
             stage1_per_fold_r2=chosen_stage1,
-            grid=grid,
+            grid=grid if len(certains) > 1 else None,
         )
     report.mean_r2 = float(np.mean([p.mean_r2 for p in report.parameters.values()]))
     report.wall_clock_seconds = time.perf_counter() - started
     return report
+
+
+def cross_validate(patients: list[Patient], config: TrainConfig, jobs: int = 1) -> PretrainReport:
+    """Fold-rotated training at the configured certainty threshold."""
+    return _pretrain(patients, config, [config.certain], jobs)
+
+
+def sweep_certain(patients: list[Patient], config: TrainConfig, jobs: int = 1) -> PretrainReport:
+    """Grid-search certain in 0..5 per parameter; argmax mean R^2, ties toward
+    the smaller threshold."""
+    return _pretrain(patients, config, list(range(6)), jobs)
 
 
 def train_final_models(
@@ -596,10 +580,7 @@ def write_certain_grid_csv(report: PretrainReport, path) -> None:
         )
         for name, result in report.parameters.items():
             rows = result.grid or [
-                GridRow(result.chosen_certain, result.mean_r2,
-                        _half_width(result.per_fold_r2),
-                        None if result.stage1_per_fold_r2 is None
-                        else result.mean_r2 - float(np.mean(result.stage1_per_fold_r2)))
+                _grid_row(result.chosen_certain, result.per_fold_r2, result.stage1_per_fold_r2)
             ]
             for row in rows:
                 writer.writerow(

@@ -1,7 +1,8 @@
 """Frozen-model transfer to the episodic cohort and the downstream study.
 
 Each episodic record is turned into per-parameter features by rolling the
-frozen forecaster forward over the record's month gap:
+frozen forecaster forward over the record's month gap with
+`netcore.rollout_forward`, the rollout that training and evaluation run:
 
 * `out`: the forecast scalar after the full rollout, one per parameter (6);
 * `emb`: the encoder's final-month latent at the last application (6 x 5 = 30);
@@ -79,8 +80,9 @@ def extract_features_bulk(
 ) -> list[ProgressFeatures]:
     """Transfer features for each record; the models are never mutated.
 
-    Per parameter, all records roll forward together, snapshotting each
-    record's latent at its own ceil(g/2) and g applications."""
+    Per parameter, one `netcore.rollout_forward` call rolls every record
+    forward to the largest gap; each record's forecasts are read from the
+    latents of its own ceil(g/2)-th and g-th applications."""
     _check_models(models)
     n = len(records)
     gaps = np.array([max(r.gap_months, 1) for r in records])
@@ -89,20 +91,15 @@ def extract_features_bulk(
     emb = np.empty((n, len(PARAMETER_ORDER), nc.HIDDEN))
     out = np.empty((n, len(PARAMETER_ORDER)))
     half = np.empty((n, len(PARAMETER_ORDER)))
+    rows = np.arange(n)
     for i, parameter in enumerate(PARAMETER_ORDER):
         model = models[parameter]
         x0 = np.stack([seed_frame(record, parameter) for record in records])
         raw[:, i] = x0[:, 0, 4]
-        seq = x0
-        final_latent = np.empty((n, nc.HIDDEN))
-        half_latent = np.empty((n, nc.HIDDEN))
-        for application in range(1, int(gaps.max()) + 1):
-            stage_out, _ = nc.libc_forward(model.libc, seq)
-            latent = stage_out[:, -1, :]
-            half_latent[half_apps == application] = latent[half_apps == application]
-            final_latent[gaps == application] = latent[gaps == application]
-            if application < gaps.max():
-                seq = nc.next_input(stage_out, x0, parameter)
+        _, latents, _, _ = nc.rollout_forward(model, x0, int(gaps.max()))
+        latents = np.stack(latents)  # (applications, n, 5)
+        final_latent = latents[gaps - 1, rows]
+        half_latent = latents[half_apps - 1, rows]
         out[:, i], _ = nc.regressor_forward(model.regressor, final_latent)
         half[:, i], _ = nc.regressor_forward(model.regressor, half_latent)
         emb[:, i] = final_latent
@@ -138,16 +135,8 @@ def auroc(labels, scores) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("AUROC undefined: one class missing")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]  # average rank, 1-based
     rank_sum = ranks[labels == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

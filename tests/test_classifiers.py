@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glp.classifiers import ClassifierKind, train_classifier
+from glp.classifiers import ClassifierKind, _fit_tree, _Node, train_classifier
 from glp.errors import TrainingError
 
 
@@ -95,3 +95,60 @@ def test_scores_rank_separable_data(kind):
     _, scores = model.predict(x)
     # positives should rank above negatives on average
     assert scores[y == 1].mean() > scores[y == 0].mean()
+
+
+def _reference_tree(x, grad, hess, depth, max_depth, min_child):
+    """Exact greedy search one split position at a time, the first best
+    (feature, position) kept; the reference for `_fit_tree`."""
+    node = _Node()
+    node.value = grad.sum() / (hess.sum() + 1e-12)
+    if depth >= max_depth or x.shape[0] < 2 * min_child or np.allclose(grad, grad[0]):
+        return node
+    total_gain = grad.sum() ** 2 / (hess.sum() + 1e-12)
+    best = None
+    for feature in range(x.shape[1]):
+        order = np.argsort(x[:, feature], kind="stable")
+        xs = x[order, feature]
+        gs = np.cumsum(grad[order])
+        hs = np.cumsum(hess[order])
+        for i in range(min_child - 1, x.shape[0] - min_child):
+            if xs[i] == xs[i + 1]:
+                continue
+            gl, hl = gs[i], hs[i]
+            gr, hr = gs[-1] - gl, hs[-1] - hl
+            gain = gl * gl / (hl + 1e-12) + gr * gr / (hr + 1e-12) - total_gain
+            if best is None or gain > best[0]:
+                best = (gain, feature, 0.5 * (xs[i] + xs[i + 1]))
+    if best is None or best[0] < 0.0:
+        return node
+    _, node.feature, node.threshold = best
+    mask = x[:, node.feature] <= node.threshold
+    node.left = _reference_tree(x[mask], grad[mask], hess[mask], depth + 1, max_depth, min_child)
+    node.right = _reference_tree(x[~mask], grad[~mask], hess[~mask], depth + 1, max_depth, min_child)
+    return node
+
+
+def _same_tree(a, b):
+    if (a.feature, a.threshold, a.value) != (b.feature, b.threshold, b.value):
+        return False
+    if a.left is None or b.left is None:
+        return a.left is None and b.left is None
+    return _same_tree(a.left, b.left) and _same_tree(a.right, b.right)
+
+
+@pytest.mark.parametrize("min_child", [1, 2])
+def test_fit_tree_matches_position_loop_on_ties(min_child):
+    rng = np.random.default_rng(min_child)
+    splits = 0
+    for _ in range(200):
+        n = int(rng.integers(4, 40))
+        # coarse values: ties within a feature, and equal gains across features
+        x = np.round(rng.normal(size=(n, int(rng.integers(1, 8)))), 0)
+        x[:, -1] = x[:, 0]
+        p = np.round(rng.uniform(0.05, 0.95, n), 1)
+        grad = rng.integers(0, 2, n) - p
+        hess = p * (1.0 - p)
+        tree = _fit_tree(x, grad, hess, 0, 3, min_child)
+        assert _same_tree(tree, _reference_tree(x, grad, hess, 0, 3, min_child))
+        splits += tree.left is not None
+    assert splits > 100

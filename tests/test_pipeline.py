@@ -72,8 +72,8 @@ def test_stage2_with_zero_gaps_equals_stage1(frames):
     # identical per-batch loss sequences as well
     start1 = _scaled_init(LabParameter.WBC, config, subset)
     start2 = _scaled_init(LabParameter.WBC, config, subset)
-    _, h1 = _fit(start1, frame_set(subset), None, config, rng_from(config.seed, "fit"))
-    _, h2 = _fit(start2, frame_set(subset), None, config, rng_from(config.seed, "fit"))
+    _, h1 = _fit(start1, [frame_set(subset)], config, rng_from(config.seed, "fit"))
+    _, h2 = _fit(start2, [frame_set(subset)], config, rng_from(config.seed, "fit"))
     assert h1 == h2
 
 
@@ -106,7 +106,7 @@ def test_loss_decreases_on_planted_data(frames):
     for seed in range(5):
         cfg = dataclasses.replace(config, seed=seed)
         start = _scaled_init(LabParameter.WBC, cfg, s1)
-        _, history = _fit(start, frame_set(s1), None, cfg, rng_from(seed, "fit"))
+        _, history = _fit(start, [frame_set(s1)], cfg, rng_from(seed, "fit"))
         first = np.mean(history[: len(history) // 12])
         last = np.mean(history[-len(history) // 12 :])
         drops.append(last - first)
@@ -243,6 +243,12 @@ def test_sweep_certain_grid(small_cohort):
     again = sweep_certain(small_cohort, config)
     assert again.parameters["WBC"].chosen_certain == result.chosen_certain
     assert [row.mean_r2 for row in again.parameters["WBC"].grid] == means
+    # one threshold is the same run as that threshold's cell of the sweep
+    single = cross_validate(small_cohort, dataclasses.replace(config, certain=result.chosen_certain))
+    assert single.certain == result.chosen_certain
+    assert single.parameters["WBC"].grid is None
+    assert single.parameters["WBC"].per_fold_r2 == result.per_fold_r2
+    assert single.parameters["WBC"].mean_r2 == means[result.chosen_certain]
 
 
 def test_sweep_certain_filter_changes_supervised(small_cohort):
