@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="JSON config file (defaults shown in --help)")
         cmd.add_argument("--seed", type=int, help="override the global seed")
         cmd.add_argument("--out", help="override the output directory")
-        cmd.add_argument("--jobs", type=int, help="parallel workers for the CV folds and the final models")
+        cmd.add_argument("--jobs", type=int, help="parallel workers for the sweep fan-out")
         cmd.add_argument(
             "--interp", choices=[m.value for m in InterpMethod], help="interpolation method"
         )

@@ -180,18 +180,23 @@ def init_model(parameter: LabParameter, certain: int, seed: int) -> GlpModel:
 # forward
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # tanh form cannot overflow
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
 @dataclass
 class LibcTrace:
-    """What `libc_backward` reads of one forward; shapes are for one model (a
-    stack's model axes follow the month axis of the months-first arrays)."""
-
-    xs: np.ndarray        # (2, B, 12, 5) scan-order inputs
-    gates: np.ndarray     # (12, 2, B, 20) per month: sigmoid i, f, o and tanh g rows
-    c_prev: np.ndarray    # (12, 2, B, 5) cell state entering each month
-    tanh_c: np.ndarray    # (12, 2, B, 5)
-    h_prev: np.ndarray    # (2, B, 12, 5) hidden state entering each month
-    concat: np.ndarray    # (B, 12, 10) aligned pre-ReLU
-    pre: np.ndarray       # (B, 12, 5) pre-ReLU condensed
+    xs: np.ndarray        # (..., 2, B, 12, 5) scan-order inputs
+    gate_i: np.ndarray    # (..., 2, B, 12, 5)
+    gate_f: np.ndarray
+    gate_g: np.ndarray
+    gate_o: np.ndarray
+    c_prev: np.ndarray    # (..., 2, B, 12, 5)
+    tanh_c: np.ndarray
+    h_prev: np.ndarray
+    concat: np.ndarray    # (..., B, 12, 10) aligned pre-ReLU
+    pre: np.ndarray       # (..., B, 12, 5) pre-ReLU condensed
 
 
 def libc_forward(p: LibcParams, x: np.ndarray, need_trace: bool = False):
@@ -206,41 +211,48 @@ def libc_forward(p: LibcParams, x: np.ndarray, need_trace: bool = False):
     w_h_t = np.swapaxes(p.w_h, -1, -2)  # (..., 2, 5, 20)
     xz = xs.reshape(xs.shape[:-3] + (B * T, CHANNELS)) @ w_x_t
     xz = xz.reshape(xz.shape[:-2] + (B, T, GATE_ROWS)) + p.b[..., None, None, :]
-    # per-month state, months first so that each month's slice is contiguous;
-    # without a trace, one month's gate and cell buffers are reused
-    kept = T if need_trace else 1
-    gates = np.empty((kept,) + xz.shape[:-2] + (GATE_ROWS,))
-    cs = np.empty(gates.shape[:-1] + (HIDDEN,))  # cell state after each month
-    tanh_c = np.empty_like(cs)
-    hs = np.empty((T,) + cs.shape[1:])
-    h = np.zeros(cs.shape[1:])
-    c = h
+    h = np.zeros(xz.shape[:-2] + (HIDDEN,))
+    c = np.zeros_like(h)
+    hs = np.empty(xz.shape[:-1] + (HIDDEN,))
+    if need_trace:
+        tr = LibcTrace(
+            xs=xs,
+            gate_i=np.empty_like(hs), gate_f=np.empty_like(hs),
+            gate_g=np.empty_like(hs), gate_o=np.empty_like(hs),
+            c_prev=np.empty_like(hs), tanh_c=np.empty_like(hs),
+            h_prev=np.empty_like(hs), concat=None, pre=None,
+        )
     for t in range(T):
         z = xz[..., t, :] + h @ w_h_t
-        a = gates[t % kept]
-        # sigmoid in its tanh form, which cannot overflow, over all 20 rows;
-        # then the cell-candidate rows are overwritten with their tanh
-        np.multiply(z, 0.5, out=a)
-        np.tanh(a, out=a)
-        a += 1.0
-        a *= 0.5
-        np.tanh(z[..., 10:15], out=a[..., 10:15])
-        c = np.add(a[..., 5:10] * c, a[..., 0:5] * a[..., 10:15], out=cs[t % kept])
-        h = np.multiply(a[..., 15:20], np.tanh(c, out=tanh_c[t % kept]), out=hs[t])
-    hs = np.moveaxis(hs, 0, -2)  # (..., 2, B, T, 5)
+        gi_gf = _sigmoid(z[..., 0:10])
+        gi = gi_gf[..., 0:5]
+        gf = gi_gf[..., 5:10]
+        gg = np.tanh(z[..., 10:15])
+        go = _sigmoid(z[..., 15:20])
+        if need_trace:
+            tr.gate_i[..., t, :] = gi
+            tr.gate_f[..., t, :] = gf
+            tr.gate_g[..., t, :] = gg
+            tr.gate_o[..., t, :] = go
+            tr.c_prev[..., t, :] = c
+            tr.h_prev[..., t, :] = h
+        c = gf * c + gi * gg
+        tc = np.tanh(c)
+        h = go * tc
+        if need_trace:
+            tr.tanh_c[..., t, :] = tc
+        hs[..., t, :] = h
     # both directions aligned by month: (..., B, T, 10)
     concat = np.concatenate([hs[..., 0, :, :, :], hs[..., 1, :, ::-1, :]], axis=-1)
     act = np.maximum(concat, 0.0)
     # the inserted axis lines the model axes of w_c up with those of act, past B
     pre = act @ np.swapaxes(p.w_c, -1, -2)[..., None, :, :] + p.b_c[..., None, None, :]
     out = np.maximum(pre, 0.0)
-    if not need_trace:
-        return out, None
-    c_prev = np.zeros_like(cs)
-    c_prev[1:] = cs[:-1]
-    h_prev = np.zeros(hs.shape)
-    h_prev[..., 1:, :] = hs[..., :-1, :]
-    return out, LibcTrace(xs, gates, c_prev, tanh_c, h_prev, concat, pre)
+    if need_trace:
+        tr.concat = concat
+        tr.pre = pre
+        return out, tr
+    return out, None
 
 
 def libc_backward(p: LibcParams, tr: LibcTrace, d_out: np.ndarray, grads: LibcParams):
@@ -253,35 +265,28 @@ def libc_backward(p: LibcParams, tr: LibcTrace, d_out: np.ndarray, grads: LibcPa
     grads.b_c += d_pre.sum(axis=(0, 1))
     d_act = d_pre @ p.w_c
     d_concat = d_act * (tr.concat > 0)
-    # back to scan order per direction, months first: (T, 2, B, 5)
-    d_hs = np.moveaxis(np.stack([d_concat[:, :, :HIDDEN], d_concat[:, ::-1, HIDDEN:]]), 2, 0)
-
-    # Each gate block's pre-activation gradient is ((lhs * f1) * f2) * f3, lhs
-    # being dc for the i, f and g rows and dh for the o rows. The factors hold
-    # no carry, so they are formed for every month at once; the g rows have
-    # two factors, and their third, 1.0, leaves the product exact.
-    g = tr.gates
-    gi, gf, gg, go = g[..., 0:5], g[..., 5:10], g[..., 10:15], g[..., 15:20]
-    f1 = np.concatenate([gg, tr.c_prev, gi, tr.tanh_c], axis=-1)
-    f2 = np.concatenate([gi, gf, 1.0 - gg * gg, go], axis=-1)
-    f3 = np.concatenate([1.0 - gi, 1.0 - gf, np.ones_like(gg), 1.0 - go], axis=-1)
-    d_tanh_c = 1.0 - tr.tanh_c * tr.tanh_c
+    # back to scan order per direction
+    d_hs = np.stack([d_concat[:, :, :HIDDEN], d_concat[:, ::-1, HIDDEN:]])
 
     d_xs = np.empty_like(tr.xs)
     dz_all = np.empty((2, B, T, GATE_ROWS))
-    lhs = np.empty((2, B, 4, HIDDEN))
-    lhs_rows = lhs.reshape(2, B, GATE_ROWS)
     dh_carry = np.zeros((2, B, HIDDEN))
     dc_carry = np.zeros_like(dh_carry)
     for t in range(T - 1, -1, -1):
-        dh = d_hs[t] + dh_carry
-        dc = dc_carry + dh * go[t] * d_tanh_c[t]
-        dc_carry = dc * gf[t]
-        lhs[:, :, 0:3] = dc[:, :, None, :]
-        lhs[:, :, 3] = dh
-        dz = np.multiply(lhs_rows, f1[t], out=dz_all[:, :, t])
-        dz *= f2[t]
-        dz *= f3[t]
+        gi = tr.gate_i[:, :, t]
+        gf = tr.gate_f[:, :, t]
+        gg = tr.gate_g[:, :, t]
+        go = tr.gate_o[:, :, t]
+        tc = tr.tanh_c[:, :, t]
+        dh = d_hs[:, :, t] + dh_carry
+        do = dh * tc
+        dc = dc_carry + dh * go * (1.0 - tc * tc)
+        dc_carry = dc * gf
+        dz = dz_all[:, :, t]
+        dz[..., 0:5] = dc * gg * gi * (1 - gi)
+        dz[..., 5:10] = dc * tr.c_prev[:, :, t] * gf * (1 - gf)
+        dz[..., 10:15] = dc * gi * (1 - gg * gg)
+        dz[..., 15:20] = do * go * (1 - go)
         d_xs[:, :, t] = dz @ p.w_x
         dh_carry = dz @ p.w_h
     # weight gradients accumulate over batch and time in two stacked matmuls
@@ -352,24 +357,30 @@ def next_input(out: np.ndarray, x0: np.ndarray, parameter: LabParameter) -> np.n
     return nxt
 
 
-def rollout_forward(model: GlpModel, x0: np.ndarray, gap: int, need_trace: bool = False):
+def rollout_forward(model: GlpModel, x0: np.ndarray, gap: int, need_trace=False, at=()):
     """Apply the encoder max(gap, 1) times, then the regressor once.
 
     Returns (pred (B,), latents, libc_traces, regressor_trace) where latents
     has one final-month (B, 5) vector per encoder application, each a copy
-    so that it does not keep that application's (B, 12, 5) output alive. A
-    model whose vector is (M, 516) is a stack of M models: pred is (M, B) and
-    each latent (M, B, 5).
+    so that it does not keep that application's (B, 12, 5) output alive.
+    With `at`, a sequence of (B,) application counts in 1..max(gap, 1),
+    latents instead holds one (B, 5) array per entry, row b taken at
+    application at[j][b], so memory does not grow with the gap. pred is the
+    forecast from latents[-1]. A model whose vector is (M, 516) is a stack of
+    M models: pred is (M, B) and each latent (M, B, 5).
     """
     applications = max(int(gap), 1)
     seq = x0
-    latents = []
+    latents = [np.empty(model.vector.shape[:-1] + (len(x0), HIDDEN)) for _ in at]
     traces = [] if need_trace else None
     for k in range(applications):
         out, tr = libc_forward(model.libc, seq, need_trace)
         if need_trace:
             traces.append(tr)
-        latents.append(out[..., -1, :].copy())
+        for latent, apps in zip(latents, at):
+            latent[..., apps == k + 1, :] = out[..., apps == k + 1, -1, :]
+        if not at:
+            latents.append(out[..., -1, :].copy())
         if k < applications - 1:
             seq = next_input(out, x0, model.parameter)
     pred, rtr = regressor_forward(model.regressor, latents[-1], need_trace)

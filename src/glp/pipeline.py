@@ -409,31 +409,30 @@ def _job_config(config: TrainConfig, parameter: LabParameter, certain: int, fold
     )
 
 
-def _run_fold(args):
-    """Train and score one fold of one (parameter, certain) cell.
+def _run_parameter_cv(args):
+    """Fold-rotated training for one (parameter, certain) cell.
 
-    Returns (final R^2, supervised-intermediate R^2 or None).
+    Returns (per-fold final R^2, per-fold supervised-intermediate R^2 or None).
     """
-    fit_patients, test_frames, cache, config, parameter, certain, fold = args
-    stage1, stage2 = assemble_frames(cache, fit_patients, certain)
-    job = _job_config(config, parameter, certain, fold)
-    intermediate, final = train_by_method(stage1, stage2, job)
-    r2 = evaluate_r2(final, test_frames)
-    if config.method is TrainMethod.TWO_STAGE:
-        return r2, evaluate_r2(intermediate, test_frames)
-    return r2, None
+    patients_train, test_frames, cache, config, parameter, certain = args
+    folds = make_folds(patients_train, config.folds, derive_seed(config.seed, "cv"))
+    fold_r2, stage1_r2 = [], []
+    for k in range(config.folds):
+        fit_patients = [p for j, fold in enumerate(folds) if j != k for p in fold]
+        stage1, stage2 = assemble_frames(cache, fit_patients, certain)
+        job = _job_config(config, parameter, certain, k)
+        intermediate, final = train_by_method(stage1, stage2, job)
+        fold_r2.append(evaluate_r2(final, test_frames))
+        if config.method is TrainMethod.TWO_STAGE:
+            stage1_r2.append(evaluate_r2(intermediate, test_frames))
+    return fold_r2, (stage1_r2 if stage1_r2 else None)
 
 
-def _fold_cells(patients, config: TrainConfig, certains: list[int]):
-    """One CV job per (parameter, certain, fold), with shared frame caches;
-    a fold's job trains on every other fold of the training split."""
+def _parameter_cells(patients, config: TrainConfig, certains: list[int]):
+    """Yield one CV job per (parameter, certain), with shared frame caches."""
     train, test = split_cohort(patients, config.split_ratio, config.seed)
     if len(train) < config.folds:
         raise ConfigError(f"{len(train)} training patients cannot fill {config.folds} folds")
-    folds = make_folds(train, config.folds, derive_seed(config.seed, "cv"))
-    fit_sets = [
-        [p for j, fold in enumerate(folds) if j != k for p in fold] for k in range(config.folds)
-    ]
     cells = []
     for parameter in config.parameters:
         cache = build_frame_cache(train, parameter, config.interp)
@@ -442,8 +441,7 @@ def _fold_cells(patients, config: TrainConfig, certains: list[int]):
         if len(test_frames) < 2:
             raise ConfigError("test split yields fewer than 2 rollout frames")
         for certain in certains:
-            for k, fit_patients in enumerate(fit_sets):
-                cells.append((fit_patients, test_frames, cache, config, parameter, certain, k))
+            cells.append((train, test_frames, cache, config, parameter, certain))
     return train, test, cells
 
 
@@ -466,11 +464,11 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
     one threshold carries no grid."""
     config.validate()
     started = time.perf_counter()
-    train, test, cells = _fold_cells(patients, config, certains)
-    results = _execute(_run_fold, cells, jobs)
-    by_cell: dict[tuple[str, int], list[tuple[float, float | None]]] = {}
-    for (*_, parameter, certain, _), result in zip(cells, results):
-        by_cell.setdefault((parameter.value, certain), []).append(result)
+    train, test, cells = _parameter_cells(patients, config, certains)
+    results = _execute(_run_parameter_cv, cells, jobs)
+    by_parameter: dict[str, list[tuple[int, list[float], list[float] | None]]] = {}
+    for (_, _, _, _, parameter, certain), (fold_r2, stage1_r2) in zip(cells, results):
+        by_parameter.setdefault(parameter.value, []).append((certain, fold_r2, stage1_r2))
 
     report = PretrainReport(
         config_echo=_config_echo(config), seed=config.seed,
@@ -478,10 +476,7 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
         n_patients=len(patients), n_train=len(train), n_test=len(test),
     )
     for parameter in config.parameters:
-        rows = []
-        for certain in certains:
-            fold_r2, stage1_r2 = zip(*by_cell[parameter.value, certain])
-            rows.append((certain, list(fold_r2), None if None in stage1_r2 else list(stage1_r2)))
+        rows = by_parameter[parameter.value]
         grid = [_grid_row(*row) for row in rows]
         chosen = argmax_certain([row.mean_r2 for row in grid])
         _, chosen_fold_r2, chosen_stage1 = rows[chosen]

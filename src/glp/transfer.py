@@ -81,8 +81,8 @@ def extract_features_bulk(
     """Transfer features for each record; the models are never mutated.
 
     Per parameter, one `netcore.rollout_forward` call rolls every record
-    forward to the largest gap; each record's forecasts are read from the
-    latents of its own ceil(g/2)-th and g-th applications."""
+    forward to the largest gap and keeps only each record's latents of its
+    own ceil(g/2)-th and g-th applications, so memory is O(records)."""
     _check_models(models)
     n = len(records)
     gaps = np.array([max(r.gap_months, 1) for r in records])
@@ -91,18 +91,13 @@ def extract_features_bulk(
     emb = np.empty((n, len(PARAMETER_ORDER), nc.HIDDEN))
     out = np.empty((n, len(PARAMETER_ORDER)))
     half = np.empty((n, len(PARAMETER_ORDER)))
-    rows = np.arange(n)
     for i, parameter in enumerate(PARAMETER_ORDER):
         model = models[parameter]
         x0 = np.stack([seed_frame(record, parameter) for record in records])
         raw[:, i] = x0[:, 0, 4]
-        _, latents, _, _ = nc.rollout_forward(model, x0, int(gaps.max()))
-        latents = np.stack(latents)  # (applications, n, 5)
-        final_latent = latents[gaps - 1, rows]
-        half_latent = latents[half_apps - 1, rows]
-        out[:, i], _ = nc.regressor_forward(model.regressor, final_latent)
+        out[:, i], (half_latent, emb[:, i]), _, _ = nc.rollout_forward(
+            model, x0, int(gaps.max()), at=(half_apps, gaps))
         half[:, i], _ = nc.regressor_forward(model.regressor, half_latent)
-        emb[:, i] = final_latent
     return [
         ProgressFeatures(r.patient_id, r.label, r.gap_months,
                          raw[j], emb[j].ravel(), out[j], half[j])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,34 @@ def test_stacked_models_match_single_models(gap):
         np.testing.assert_allclose(pred[m], pred_m, rtol=0, atol=1e-12)
         for latent, latent_m in zip(latents, latents_m):
             np.testing.assert_allclose(latent[m], latent_m, rtol=0, atol=1e-12)
+
+
+def test_rollout_snapshots_each_row_at_its_own_application():
+    singles = [random_model(seed) for seed in (30, 31)]
+    stacked = nc.GlpModel(LabParameter.GLUCOSE_AC, 0, np.stack([m.vector for m in singles]))
+    x, _ = make_glucose_batch(9, np.random.default_rng(4))
+    apps = np.random.default_rng(5).integers(1, 7, size=(2, 9))
+    apps[1, 0] = 6
+    for model in (singles[0], stacked):
+        _, latents, _, _ = nc.rollout_forward(model, x, 6)
+        pred, snaps, _, _ = nc.rollout_forward(model, x, 6, at=tuple(apps))
+        assert len(snaps) == 2
+        for snap, row_apps in zip(snaps, apps):
+            for b, k in enumerate(row_apps):
+                assert np.array_equal(snap[..., b, :], latents[k - 1][..., b, :])
+        assert np.array_equal(pred, nc.regressor_forward(model.regressor, snaps[-1])[0])
+
+
+def test_rollout_snapshot_memory_does_not_grow_with_gap():
+    model = random_model(6)
+    x, _ = make_glucose_batch(64, np.random.default_rng(6))
+    peaks = []
+    for gap in (20, 400):
+        tracemalloc.start()
+        nc.rollout_forward(model, x, gap, at=(np.full(64, gap),))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 def test_nonfinite_input_rejected():
