@@ -10,15 +10,18 @@ well-defined:
   hessian sums; score is the boosted log-odds. Zero-gain splits are allowed
   while the node is impure, which lets depth-2 trees carve XOR-style
   interactions that have no first-order axis gain at the root.
-* max-margin linear: L2-regularized hinge loss, full-batch subgradient
-  descent with a decaying step; score is the signed margin.
-* logistic regression: full-batch gradient descent on the logistic loss;
-  score is the logit.
+* max-margin linear: L2-regularized hinge loss (C = 1), 500 steps of
+  full-batch subgradient descent with a decaying step; score is the signed
+  margin.
+* logistic regression: 2,000 steps of full-batch gradient descent on the
+  logistic loss (rate 1 over the curvature scale); score is the logit.
 * k-nearest: k = 5 Euclidean votes; distance ties break toward the lower
   training index and vote ties toward negative; score is the positive vote
   fraction.
 
-All four are deterministic given the data.
+The hyperparameters above are fixed: each family holds them as class
+constants, beside its decision threshold on the score. All four are
+deterministic given the data.
 """
 
 from __future__ import annotations
@@ -106,18 +109,14 @@ def _tree_predict(node, x):
 
 
 class GradientBoostedTrees:
-    def __init__(self, rounds=100, learning_rate=0.1, max_depth=3, min_child=1):
-        self.rounds = rounds
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_child = min_child
-        self.trees: list[_Node] = []
-        self.base = 0.0
+    rounds, learning_rate, max_depth, min_child = 100, 0.1, 3, 1
+    threshold = 0.0
 
     def fit(self, features, labels):
         y = labels.astype(float)
         rate = min(max(y.mean(), 1e-6), 1 - 1e-6)
         self.base = math.log(rate / (1.0 - rate))
+        self.trees: list[_Node] = []
         score = np.full(len(y), self.base)
         for _ in range(self.rounds):
             p = _sigmoid(score)
@@ -146,11 +145,8 @@ def _curvature_scale(features: np.ndarray) -> float:
 
 
 class MaxMarginLinear:
-    def __init__(self, c=1.0, iterations=500):
-        self.c = c
-        self.iterations = iterations
-        self.w = None
-        self.b = 0.0
+    c, iterations = 1.0, 500
+    threshold = 0.0
 
     def fit(self, features, labels):
         n, d = features.shape
@@ -174,11 +170,8 @@ class MaxMarginLinear:
 
 
 class LogisticRegression:
-    def __init__(self, learning_rate=1.0, iterations=2000):
-        self.learning_rate = learning_rate
-        self.iterations = iterations
-        self.w = None
-        self.b = 0.0
+    learning_rate, iterations = 1.0, 2000
+    threshold = 0.0
 
     def fit(self, features, labels):
         n, d = features.shape
@@ -198,10 +191,8 @@ class LogisticRegression:
 
 
 class KNearest:
-    def __init__(self, k=5):
-        self.k = k
-        self.features = None
-        self.labels = None
+    k = 5
+    threshold = 0.5  # a vote tie (score exactly 0.5) resolves toward negative
 
     def fit(self, features, labels):
         self.features = features.copy()
@@ -221,12 +212,11 @@ class KNearest:
 # ---------------------------------------------------------------------------
 # uniform surface
 
-# decision threshold on the ranking score per classifier family
-_THRESHOLD = {
-    ClassifierKind.GRADIENT_BOOSTED_TREES: 0.0,
-    ClassifierKind.MAX_MARGIN_LINEAR: 0.0,
-    ClassifierKind.LOGISTIC_REGRESSION: 0.0,
-    ClassifierKind.K_NEAREST: 0.5,
+_FAMILIES = {
+    ClassifierKind.GRADIENT_BOOSTED_TREES: GradientBoostedTrees,
+    ClassifierKind.MAX_MARGIN_LINEAR: MaxMarginLinear,
+    ClassifierKind.LOGISTIC_REGRESSION: LogisticRegression,
+    ClassifierKind.K_NEAREST: KNearest,
 }
 
 
@@ -238,24 +228,12 @@ class Classifier:
     def predict(self, features: np.ndarray):
         features = np.asarray(features, dtype=float)
         scores = self.model.scores(features)
-        # a vote tie (knn score exactly 0.5) resolves toward negative
-        labels = scores > _THRESHOLD[self.kind]
-        return labels.astype(int), scores
+        return (scores > self.model.threshold).astype(int), scores
 
 
-def train_classifier(kind: ClassifierKind, features, labels, **overrides) -> Classifier:
+def train_classifier(kind: ClassifierKind, features, labels) -> Classifier:
     """Fit one classifier family; deterministic given the data."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
     _validate(features, labels)
-    if kind is ClassifierKind.GRADIENT_BOOSTED_TREES:
-        model = GradientBoostedTrees(**overrides).fit(features, labels)
-    elif kind is ClassifierKind.MAX_MARGIN_LINEAR:
-        model = MaxMarginLinear(**overrides).fit(features, labels)
-    elif kind is ClassifierKind.LOGISTIC_REGRESSION:
-        model = LogisticRegression(**overrides).fit(features, labels)
-    elif kind is ClassifierKind.K_NEAREST:
-        model = KNearest(**overrides).fit(features, labels)
-    else:
-        raise TrainingError(f"unknown classifier kind {kind}")
-    return Classifier(kind, model)
+    return Classifier(kind, _FAMILIES[kind]().fit(features, labels))

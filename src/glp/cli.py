@@ -43,7 +43,7 @@ from .cohort import (
     write_cohort_csv,
     write_episodic_csv,
 )
-from .errors import ConfigError, GlpError, IntegrityError, MissingArtifactError, SchemaError
+from .errors import ConfigError, GlpError, MissingArtifactError, SchemaError
 from .interp import InterpMethod
 from .netcore import FORMAT_VERSION, load_weights, save_weights
 from .pipeline import (
@@ -109,9 +109,17 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be an object")
             merged[key] = _merge(defaults[key], value, where)
+        elif not _same_type(defaults[key], value) and (where, value) != ("train.certain", "sweep"):
+            raise ConfigError(f"{where} must be {type(defaults[key]).__name__}, got {value!r}")
         else:
             merged[key] = value
     return merged
+
+
+def _same_type(default, value) -> bool:
+    """A bool never passes for an int; an int passes where a float is expected."""
+    expected = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, bool) == isinstance(default, bool) and isinstance(value, expected)
 
 
 def load_config(path: str | None) -> dict:
@@ -265,14 +273,7 @@ def cmd_transfer(config: dict) -> dict[str, Path]:
         logger.warning("ingestion rejected %d episodic rows", len(loaded.rejected_rows))
     if not loaded.records:
         raise SchemaError(f"{episodic_path}: no usable records")
-    models = {}
-    for parameter in PARAMETER_ORDER:
-        model = load_weights(_weight_path(out_dir, parameter))
-        if model.parameter is not parameter:
-            raise IntegrityError(
-                f"{_weight_path(out_dir, parameter).name} holds weights for {model.parameter.value}"
-            )
-        models[parameter] = model
+    models = {p: load_weights(_weight_path(out_dir, p)) for p in PARAMETER_ORDER}
 
     report, features = run_downstream_study(
         models,
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
+def _apply_flags(config: dict, args: argparse.Namespace) -> dict:
     if args.seed is not None:
         config["seed"] = args.seed
     if args.out is not None:
@@ -384,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             return 5 if cmd_verify(args.paths) else 0
-        config = _apply_overrides(load_config(args.config), args)
+        config = _apply_flags(load_config(args.config), args)
         _train_config(config)  # reject bad training settings before any work
         handler = {"synth": cmd_synth, "pretrain": cmd_pretrain,
                    "transfer": cmd_transfer, "all": cmd_all}[args.command]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -315,14 +316,24 @@ def write_cohort_csv(patients: list[Patient], path: str | Path) -> None:
                     )
 
 
+@contextmanager
+def _csv_reader(path: str | Path):
+    """csv.reader over a UTF-8 file; bytes that are not UTF-8 text or CSV are
+    a schema error."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield csv.reader(fh)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaError(f"{path}: unreadable CSV ({exc})")
+
+
 def read_cohort_csv(path: str | Path) -> CohortReadResult:
     result = CohortReadResult(patients=[])
     order: list[str] = []
     demo: dict[str, tuple[float, Gender]] = {}
     series: dict[str, dict[LabParameter, list[Observation]]] = {}
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header != _PRETEXT_HEADER:
             raise SchemaError(f"{path}: expected header {','.join(_PRETEXT_HEADER)}")
@@ -384,8 +395,7 @@ def write_episodic_csv(records: list[EpisodicRecord], path: str | Path) -> None:
 
 def read_episodic_csv(path: str | Path) -> EpisodicReadResult:
     result = EpisodicReadResult(records=[])
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header != _EPISODIC_HEADER:
             raise SchemaError(f"{path}: expected header {','.join(_EPISODIC_HEADER)}")

@@ -35,10 +35,12 @@ Training graphs
 ---------------
 `rollout_loss_and_grads` computes batch-mean MSE and its exact gradient for
 both graphs: gap = 0 is the single-pass supervised path, gap = g > 0 unrolls
-g encoder applications and backpropagates through all of them (the discrete
-recomputation and the held channels are constants, so between applications
-gradient flows through the value channel only). Gradients are verified
-against central finite differences in the test suite.
+g encoder applications and always backpropagates through all of them (the
+discrete recomputation and the held channels are constants, so between
+applications gradient flows through the value channel only). Gradients are
+verified against central finite differences in the test suite. The optimizer
+is Adam with the published constants `ADAM_BETA1`, `ADAM_BETA2` and
+`ADAM_EPSILON` (Kingma & Ba 2015); only the learning rate is configurable.
 
 Weight file format ("GLP1", version 1)
 --------------------------------------
@@ -357,19 +359,22 @@ def next_input(out: np.ndarray, x0: np.ndarray, parameter: LabParameter) -> np.n
     return nxt
 
 
-def rollout_forward(model: GlpModel, x0: np.ndarray, gap: int, need_trace=False, at=()):
+def rollout_forward(model: GlpModel, x0: np.ndarray, gap: int, need_trace=False, at=None):
     """Apply the encoder max(gap, 1) times, then the regressor once.
 
-    Returns (pred (B,), latents, libc_traces, regressor_trace) where latents
-    has one final-month (B, 5) vector per encoder application, each a copy
-    so that it does not keep that application's (B, 12, 5) output alive.
-    With `at`, a sequence of (B,) application counts in 1..max(gap, 1),
-    latents instead holds one (B, 5) array per entry, row b taken at
-    application at[j][b], so memory does not grow with the gap. pred is the
-    forecast from latents[-1]. A model whose vector is (M, 516) is a stack of
-    M models: pred is (M, B) and each latent (M, B, 5).
+    Returns (pred (B,), latents, libc_traces, regressor_trace). `at` is a
+    sequence of (B,) application counts in 1..max(gap, 1); latents holds one
+    (B, 5) array per entry, row b the final-month latent after application
+    at[j][b], so memory does not grow with the gap. By default `at` is the
+    last application for every row, so latents is that one latent. pred is
+    the forecast from latents[-1]. A model whose vector is (M, 516) is a
+    stack of M models: pred is (M, B) and each latent (M, B, 5).
     """
     applications = max(int(gap), 1)
+    at = [np.asarray(apps) for apps in (at or (np.full(len(x0), applications),))]
+    for apps in at:
+        if apps.shape != (len(x0),) or ((apps < 1) | (apps > applications)).any():
+            raise TrainingError(f"rollout snapshots need (B,) counts in 1..{applications}")
     seq = x0
     latents = [np.empty(model.vector.shape[:-1] + (len(x0), HIDDEN)) for _ in at]
     traces = [] if need_trace else None
@@ -378,27 +383,18 @@ def rollout_forward(model: GlpModel, x0: np.ndarray, gap: int, need_trace=False,
         if need_trace:
             traces.append(tr)
         for latent, apps in zip(latents, at):
-            latent[..., apps == k + 1, :] = out[..., apps == k + 1, -1, :]
-        if not at:
-            latents.append(out[..., -1, :].copy())
+            np.copyto(latent, out[..., -1, :], where=(apps == k + 1)[:, None])
         if k < applications - 1:
             seq = next_input(out, x0, model.parameter)
     pred, rtr = regressor_forward(model.regressor, latents[-1], need_trace)
     return pred, latents, traces, rtr
 
 
-def rollout_loss_and_grads(
-    model: GlpModel,
-    x0: np.ndarray,
-    targets: np.ndarray,
-    gap: int,
-    stop_gradient: bool = False,
-):
+def rollout_loss_and_grads(model: GlpModel, x0: np.ndarray, targets: np.ndarray, gap: int):
     """Batch-mean MSE and its exact gradient as a flat parameter vector.
 
     gap = 0 is the supervised single-pass graph; gap > 0 backpropagates
-    through every unrolled application unless `stop_gradient`, which confines
-    gradients to the final application (ablation switch).
+    through every unrolled application.
     """
     B = x0.shape[0]
     pred, _, traces, rtr = rollout_forward(model, x0, gap, need_trace=True)
@@ -415,8 +411,6 @@ def rollout_loss_and_grads(
     for k in range(len(traces) - 1, -1, -1):
         d_x = libc_backward(model.libc, traces[k], d_out, libc_grads)
         if k > 0:
-            if stop_gradient:
-                break
             d_out = np.zeros_like(x0)
             d_out[:, :, 4] = d_x[:, :, 4]
     return loss, grads
@@ -426,19 +420,21 @@ def rollout_loss_and_grads(
 # Adam
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int
     learning_rate: float
-    beta1: float
-    beta2: float
-    epsilon: float
 
     @classmethod
-    def create(cls, size: int, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        return cls(np.zeros(size), np.zeros(size), 0, learning_rate, beta1, beta2, epsilon)
+    def create(cls, size: int, learning_rate=1e-3):
+        return cls(np.zeros(size), np.zeros(size), 0, learning_rate)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
@@ -446,11 +442,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise TrainingError("adam_step shape mismatch")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return new_params, replace(state, m=m, v=v, step=t)
 
 
@@ -479,8 +475,11 @@ def save_weights(model: GlpModel, path) -> None:
 
 
 def load_weights(path) -> GlpModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise IntegrityError(f"{path}: unreadable ({exc.strerror})")
     expected = _HEADER.size + n_parameters() * 8 + 4
     if len(blob) != expected:
         raise IntegrityError(f"{path}: truncated or oversized ({len(blob)} bytes, want {expected})")

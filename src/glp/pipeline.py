@@ -1,13 +1,16 @@
 """Training methods, rollout inference, and the validation harness.
 
-Four training methods share one deterministic fitting loop:
+Four training methods, dispatched by `train_by_method`, share one
+deterministic fitting loop:
 
-* supervised-only: sliding interpolated frames, single encoder pass per batch;
-* ssl-only: the rollout frames alone, trained from random initialization;
+* supervised-only: sliding interpolated frames, single encoder pass per batch
+  (`train_stage1`);
+* ssl-only: the rollout frames alone, trained from random initialization
+  (`train_stage2` from a scaled init);
 * two-stage: supervised first, then rollout training continues from those
-  parameters with a fresh optimizer;
+  parameters with a fresh optimizer (`train_stage1`, then `train_stage2`);
 * hybrid: supervised and rollout batches interleaved within each epoch under
-  a single optimizer state.
+  a single optimizer state (`train_hybrid`).
 
 Batches are bucketed by gap so every sample in a batch unrolls the same
 number of encoder applications; with all gaps zero the loop is exactly the
@@ -61,14 +64,10 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 8
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     folds: int = 5
     split_ratio: float = 0.8
     parameters: tuple[LabParameter, ...] = PARAMETER_ORDER
-    stop_rollout_gradients: bool = False
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -161,9 +160,7 @@ def _fit(
     """Adam over every non-empty source's batches, one permutation per source
     and epoch drawn in source order, the sources' batches taken round robin."""
     model = nc.vector_to_model(model.vector, model.parameter, model.certain)  # private working copy
-    adam = nc.AdamState.create(
-        model.vector.size, config.learning_rate, config.beta1, config.beta2, config.epsilon
-    )
+    adam = nc.AdamState.create(model.vector.size, config.learning_rate)
     history = []
     for _ in range(config.epochs):
         schedules = [
@@ -174,9 +171,7 @@ def _fit(
         for batches in itertools.zip_longest(*schedules):
             for data, indices, gap in filter(None, batches):
                 loss, grads = nc.rollout_loss_and_grads(
-                    model, data.x[indices], data.targets[indices], gap,
-                    stop_gradient=config.stop_rollout_gradients,
-                )
+                    model, data.x[indices], data.targets[indices], gap)
                 updated, adam = nc.adam_step(model.vector, grads, adam)
                 model.vector[...] = updated
                 history.append(loss)
@@ -250,22 +245,6 @@ def train_stage2(model: nc.GlpModel, frames: list[Frame], config: TrainConfig,
     return model
 
 
-def train_ssl_only(stage2_frames: list[Frame], config: TrainConfig) -> nc.GlpModel:
-    _require(stage2_frames, "stage 2")
-    parameter = _parameter_of(stage2_frames)
-    model = _scaled_init(parameter, config, stage2_frames)
-    return train_stage2(model, stage2_frames, config)
-
-
-def train_two_stage(
-    stage1_frames: list[Frame], stage2_frames: list[Frame], config: TrainConfig
-) -> tuple[nc.GlpModel, nc.GlpModel]:
-    """Returns (intermediate supervised model, final model)."""
-    intermediate = train_stage1(stage1_frames, config)
-    final = train_stage2(intermediate, stage2_frames, config, rng_label="fit-stage2")
-    return intermediate, final
-
-
 def train_hybrid(
     stage1_frames: list[Frame], stage2_frames: list[Frame], config: TrainConfig
 ) -> nc.GlpModel:
@@ -283,11 +262,14 @@ def train_by_method(stage1_frames, stage2_frames, config: TrainConfig):
     if config.method is TrainMethod.SUPERVISED_ONLY:
         model = train_stage1(stage1_frames, config)
         return model, model
-    if config.method is TrainMethod.SSL_ONLY:
-        return None, train_ssl_only(stage2_frames, config)
     if config.method is TrainMethod.HYBRID:
         return None, train_hybrid(stage1_frames, stage2_frames, config)
-    return train_two_stage(stage1_frames, stage2_frames, config)
+    if config.method is TrainMethod.SSL_ONLY:
+        _require(stage2_frames, "stage 2")
+        init = _scaled_init(_parameter_of(stage2_frames), config, stage2_frames)
+        return None, train_stage2(init, stage2_frames, config)
+    intermediate = train_stage1(stage1_frames, config)
+    return intermediate, train_stage2(intermediate, stage2_frames, config, "fit-stage2")
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +357,14 @@ def _config_echo(config: TrainConfig) -> dict:
         "epochs": config.epochs,
         "batch_size": config.batch_size,
         "learning_rate": config.learning_rate,
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "epsilon": config.epsilon,
+        # fixed settings, echoed so that the report keeps its keys
+        "beta1": nc.ADAM_BETA1,
+        "beta2": nc.ADAM_BETA2,
+        "epsilon": nc.ADAM_EPSILON,
         "folds": config.folds,
         "split_ratio": config.split_ratio,
         "parameters": [p.value for p in config.parameters],
-        "stop_rollout_gradients": config.stop_rollout_gradients,
+        "stop_rollout_gradients": False,
     }
 
 

@@ -11,30 +11,34 @@ def test_single_class_rejected():
         train_classifier(ClassifierKind.LOGISTIC_REGRESSION, x, np.ones(10))
 
 
-def test_knn_k1_returns_training_label():
-    x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    y = np.array([0, 1, 0, 1])
-    model = train_classifier(ClassifierKind.K_NEAREST, x, y, k=1)
-    labels, _ = model.predict(x)
-    assert np.array_equal(labels, y)
+def test_knn_votes_the_five_nearest():
+    # two 3-row clusters: each query sees its own cluster and two rows of the other
+    x = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
+    y = np.array([0, 0, 0, 1, 1, 1])
+    model = train_classifier(ClassifierKind.K_NEAREST, x, y)
+    labels, scores = model.predict(np.array([[0.1], [10.1]]))
+    np.testing.assert_allclose(scores, [0.4, 0.6], rtol=0, atol=1e-12)
+    assert np.array_equal(labels, [0, 1])
 
 
 def test_knn_vote_tie_breaks_negative():
     x = np.array([[0.0], [2.0], [10.0], [12.0]])
     y = np.array([1, 0, 1, 0])
-    model = train_classifier(ClassifierKind.K_NEAREST, x, y, k=2)
+    model = train_classifier(ClassifierKind.K_NEAREST, x, y)  # k = 5 > 4 rows: all vote
     labels, scores = model.predict(np.array([[1.0]]))
     assert scores[0] == 0.5
     assert labels[0] == 0
 
 
 def test_knn_distance_tie_lower_index():
-    # query equidistant from index 0 (label 1) and index 1 (label 0)
-    x = np.array([[0.0], [2.0], [50.0], [60.0]])
-    y = np.array([1, 0, 0, 1])
-    model = train_classifier(ClassifierKind.K_NEAREST, x, y, k=1)
-    labels, _ = model.predict(np.array([[1.0]]))
-    assert labels[0] == 1  # index 0 wins the tie
+    # four near rows vote 2-2; the 5th neighbour is a tie between index 0
+    # (label 1) and index 1 (label 0), both at distance 5
+    x = np.array([[5.0], [-5.0], [0.1], [-0.2], [0.3], [-0.4]])
+    y = np.array([1, 0, 1, 0, 1, 0])
+    model = train_classifier(ClassifierKind.K_NEAREST, x, y)
+    labels, scores = model.predict(np.array([[0.0]]))
+    assert scores[0] == pytest.approx(0.6)  # index 0 wins the tie
+    assert labels[0] == 1
 
 
 def test_logistic_regression_separable_1d():
@@ -56,7 +60,7 @@ def test_max_margin_separable():
     assert np.all(scores[y == 1] > scores[y == 0].max())
 
 
-def test_gbdt_xor_with_depth_two():
+def test_gbdt_xor():
     rng = np.random.default_rng(7)
     centers = [(-1, -1, 0), (1, 1, 0), (-1, 1, 1), (1, -1, 1)]
     xs, ys = [], []
@@ -66,7 +70,7 @@ def test_gbdt_xor_with_depth_two():
             ys.append(label)
     x = np.array(xs)
     y = np.array(ys)
-    model = train_classifier(ClassifierKind.GRADIENT_BOOSTED_TREES, x, y, max_depth=2)
+    model = train_classifier(ClassifierKind.GRADIENT_BOOSTED_TREES, x, y)
     labels, _ = model.predict(x)
     assert np.mean(labels == y) == 1.0
 

@@ -96,6 +96,8 @@ def test_verify_flags_corruption(tmp_path, capsys):
     assert main(["verify", str(target)]) == 5
     assert "FAIL" in capsys.readouterr().out
     assert main(["verify", str(tmp_path / "missing.glp")]) == 5
+    assert main(["verify", str(out)]) == 5  # a directory is not a weight file
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_verify_rejects_non_finite_weights(tmp_path, capsys):
@@ -108,6 +110,14 @@ def test_verify_rejects_non_finite_weights(tmp_path, capsys):
     target.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
     assert main(["verify", str(target)]) == 5
     assert "FAIL" in capsys.readouterr().out
+    assert main(["transfer", "--config", str(config)]) == 5
+
+
+def test_transfer_rejects_weights_of_another_parameter(tmp_path):
+    config, out = tiny_config(tmp_path)
+    assert main(["synth", "--config", str(config)]) == 0
+    assert main(["pretrain", "--config", str(config)]) == 0
+    (out / "weights_WBC.glp").write_bytes((out / "weights_UA.glp").read_bytes())
     assert main(["transfer", "--config", str(config)]) == 5
 
 
@@ -126,6 +136,19 @@ def test_transfer_logs_rejected_episodic_rows(tmp_path, caplog):
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 1, "bogus": True}))
+    assert main(["synth", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("override", [
+    {"train": {"epochs": "2"}},
+    {"pretext": {"n_patients": "10"}},
+    {"seed": "a"},
+    {"jobs": "x"},
+    {"train": {"batch_size": True}},
+], ids=["epochs-str", "n_patients-str", "seed-str", "jobs-str", "batch_size-bool"])
+def test_config_value_of_wrong_type_rejected(tmp_path, override):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), **override}))
     assert main(["synth", "--config", str(path)]) == 2
 
 

@@ -16,7 +16,7 @@ from glp.cohort import (
     write_cohort_csv,
     write_episodic_csv,
 )
-from glp.errors import ConfigError
+from glp.errors import ConfigError, SchemaError
 
 
 def test_single_patient_visit_density():
@@ -155,6 +155,11 @@ def test_cohort_csv_rejections(tmp_path):
     # the two intact patients still parse
     assert result.patients == patients
 
+    # bytes that are not UTF-8 fail the whole file as a schema error
+    path.write_bytes(path.read_bytes() + b"P0000," + bytes([0xFF]) + b"\n")
+    with pytest.raises(SchemaError, match="unreadable"):
+        read_cohort_csv(path)
+
 
 def test_cohort_csv_rejects_patient_missing_series(tmp_path):
     patients = generate_pretext_cohort(GeneratorSpec(n_patients=1, seed=1))
@@ -186,3 +191,8 @@ def test_episodic_csv_rejections(tmp_path):
     result = read_episodic_csv(path)
     assert len(result.rejected_rows) == 3
     assert result.records == records
+
+    # a field past the csv module's size limit fails the file as a schema error
+    path.write_text("\n".join(lines + ["x" * 200_000]) + "\n")
+    with pytest.raises(SchemaError, match="unreadable"):
+        read_episodic_csv(path)

@@ -80,7 +80,8 @@ def test_direction_symmetry():
 def test_relu_trace_nonnegative():
     model = random_model(2)
     x, _ = make_glucose_batch(2, np.random.default_rng(2))
-    pred, latents, traces, rtr = nc.rollout_forward(model, x, 3, need_trace=True)
+    at = tuple(np.full(2, k) for k in (1, 2, 3))
+    pred, latents, traces, rtr = nc.rollout_forward(model, x, 3, need_trace=True, at=at)
     for tr in traces:
         assert np.all(np.maximum(tr.pre, 0.0) >= 0.0)
     assert np.all(rtr.a1 >= 0.0) and np.all(rtr.a2 >= 0.0)
@@ -114,10 +115,11 @@ def test_stacked_models_match_single_models(gap):
     stacked = nc.GlpModel(LabParameter.GLUCOSE_AC, 0, np.stack([m.vector for m in singles]))
     assert views_alias_vector(stacked)
     x, _ = make_glucose_batch(4, np.random.default_rng(gap))
-    pred, latents, _, _ = nc.rollout_forward(stacked, x, gap)
+    at = tuple(np.full(4, k) for k in range(1, max(gap, 1) + 1))
+    pred, latents, _, _ = nc.rollout_forward(stacked, x, gap, at=at)
     assert pred.shape == (3, 4) and len(latents) == max(gap, 1)
     for m, single in enumerate(singles):
-        pred_m, latents_m, _, _ = nc.rollout_forward(single, x, gap)
+        pred_m, latents_m, _, _ = nc.rollout_forward(single, x, gap, at=at)
         np.testing.assert_allclose(pred[m], pred_m, rtol=0, atol=1e-12)
         for latent, latent_m in zip(latents, latents_m):
             np.testing.assert_allclose(latent[m], latent_m, rtol=0, atol=1e-12)
@@ -129,14 +131,22 @@ def test_rollout_snapshots_each_row_at_its_own_application():
     x, _ = make_glucose_batch(9, np.random.default_rng(4))
     apps = np.random.default_rng(5).integers(1, 7, size=(2, 9))
     apps[1, 0] = 6
+    every = tuple(np.full(9, k) for k in range(1, 7))
     for model in (singles[0], stacked):
-        _, latents, _, _ = nc.rollout_forward(model, x, 6)
+        _, latents, _, _ = nc.rollout_forward(model, x, 6, at=every)
         pred, snaps, _, _ = nc.rollout_forward(model, x, 6, at=tuple(apps))
         assert len(snaps) == 2
         for snap, row_apps in zip(snaps, apps):
             for b, k in enumerate(row_apps):
                 assert np.array_equal(snap[..., b, :], latents[k - 1][..., b, :])
         assert np.array_equal(pred, nc.regressor_forward(model.regressor, snaps[-1])[0])
+        _, listed, _, _ = nc.rollout_forward(model, x, 6, at=tuple(row.tolist() for row in apps))
+        assert all(np.array_equal(a, b) for a, b in zip(listed, snaps))
+    for bad in (np.full(9, 0), np.full(9, 7), np.full(8, 1)):  # out of range, wrong length
+        with pytest.raises(TrainingError):
+            nc.rollout_forward(singles[0], x, 6, at=(bad,))
+    with pytest.raises(TrainingError):  # gap 0 still runs one application
+        nc.rollout_forward(singles[0], x, 0, at=(np.full(9, 2),))
 
 
 def test_rollout_snapshot_memory_does_not_grow_with_gap():
@@ -185,14 +195,6 @@ def test_duplicated_batch_same_mean_gradient():
     np.testing.assert_allclose(g2, g1, rtol=1e-9, atol=1e-12)
 
 
-def test_stop_gradient_confines_to_final_application():
-    model = random_model(0)
-    x, targets = make_glucose_batch(2, np.random.default_rng(0))
-    _, full = nc.rollout_loss_and_grads(model, x, targets, 4)
-    _, stopped = nc.rollout_loss_and_grads(model, x, targets, 4, stop_gradient=True)
-    assert not np.allclose(full, stopped)
-
-
 def test_adam_zero_gradients_no_move():
     params = np.random.default_rng(0).uniform(-1, 1, 516)
     state = nc.AdamState.create(516)
@@ -208,7 +210,7 @@ def test_adam_constant_gradient_approaches_signed_rate():
     for _ in range(600):
         params, state = nc.adam_step(params, grads, state)
     # fixed point of bias-corrected Adam under constant gradient: lr * sign(g)
-    final_step = state.learning_rate * grads / (np.sqrt(grads**2) + state.epsilon)
+    final_step = state.learning_rate * grads / (np.sqrt(grads**2) + nc.ADAM_EPSILON)
     previous, state = nc.adam_step(params, grads, state)
     np.testing.assert_allclose(params - previous, final_step, rtol=1e-6)
 

@@ -136,7 +136,8 @@ def test_rollout_gap_zero_equals_single_pass(frames):
 def test_rollout_trajectory_length(frames, gap):
     s1, _ = frames
     model = train_stage1(s1[:40], QUICK)
-    _, latents, _, _ = nc.rollout_forward(model, s1[0].input[None], gap)
+    at = tuple(np.full(1, k) for k in range(1, gap + 1))
+    _, latents, _, _ = nc.rollout_forward(model, s1[0].input[None], gap, at=at)
     assert len(latents) == gap
     assert all(latent.shape == (1, 5) for latent in latents)
 

@@ -80,7 +80,8 @@ def test_bulk_matches_single():
         for i, parameter in enumerate(PARAMETER_ORDER):
             model = models[parameter]
             x0 = seed_frame(record, parameter)[None]
-            pred, latents, _, _ = nc.rollout_forward(model, x0, record.gap_months)
+            at = tuple(np.full(1, k) for k in range(1, record.gap_months + 1))
+            pred, latents, _, _ = nc.rollout_forward(model, x0, record.gap_months, at=at)
             half_index = max(1, -(-record.gap_months // 2)) - 1  # ceil(g/2), 1-based
             half, _ = nc.regressor_forward(model.regressor, latents[half_index])
             np.testing.assert_allclose(features.emb[5 * i : 5 * i + 5], latents[-1][0],
