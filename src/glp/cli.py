@@ -149,6 +149,17 @@ def _certain_value(text: str):
     return value
 
 
+def _check_run_settings(config: dict) -> None:
+    """The settings outside `TrainConfig`: worker count and the downstream
+    study's repetitions and split, whether set in the file or by a flag."""
+    if config["jobs"] < 1:
+        raise ConfigError("jobs must be >= 1")
+    if config["transfer"]["repetitions"] < 1:
+        raise ConfigError("transfer.repetitions must be >= 1")
+    if not 0.0 < config["transfer"]["split_ratio"] < 1.0:
+        raise ConfigError("transfer.split_ratio must be in (0, 1)")
+
+
 def _train_config(config: dict) -> TrainConfig:
     train = config["train"]
     certain = train["certain"]
@@ -238,7 +249,8 @@ def cmd_pretrain(config: dict) -> dict[str, Path]:
     else:
         report = cross_validate(loaded.patients, train_config, jobs=jobs)
     chosen = {name: result.chosen_certain for name, result in report.parameters.items()}
-    models = train_final_models(loaded.patients, train_config, chosen, jobs=jobs)
+    models = train_final_models(loaded.patients, train_config, chosen, jobs=jobs,
+                                frames=report.frames)
 
     artifacts: dict[str, Path] = {}
     for parameter in PARAMETER_ORDER:
@@ -343,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="JSON config file (defaults shown in --help)")
         cmd.add_argument("--seed", type=int, help="override the global seed")
         cmd.add_argument("--out", help="override the output directory")
-        cmd.add_argument("--jobs", type=int, help="parallel workers for the sweep fan-out")
+        cmd.add_argument("--jobs", type=int, help="worker processes sharing the training stacks")
         cmd.add_argument(
             "--interp", choices=[m.value for m in InterpMethod], help="interpolation method"
         )
@@ -364,8 +376,6 @@ def _apply_flags(config: dict, args: argparse.Namespace) -> dict:
     if args.out is not None:
         config["out_dir"] = args.out
     if args.jobs is not None:
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
         config["jobs"] = args.jobs
     if args.interp is not None:
         config["train"]["interp"] = args.interp
@@ -386,7 +396,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return 5 if cmd_verify(args.paths) else 0
         config = _apply_flags(load_config(args.config), args)
-        _train_config(config)  # reject bad training settings before any work
+        _check_run_settings(config)  # reject bad settings before any work
+        _train_config(config)
         handler = {"synth": cmd_synth, "pretrain": cmd_pretrain,
                    "transfer": cmd_transfer, "all": cmd_all}[args.command]
         artifacts = handler(config)

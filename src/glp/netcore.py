@@ -25,11 +25,15 @@ copy the views apart from the vector, so a model pickles as its vector alone
 and rebuilds the views when it is unpickled (as it is on return from a
 worker process).
 
-A (M, 516) vector is a stack of M models: its views carry the leading M axis,
-and the forward functions (`libc_forward`, `regressor_forward`, `next_input`,
-`rollout_forward`) run all M at once on one (B, 12, 5) input batch, giving
-outputs with a leading M axis. The backward functions and training take one
-model.
+A (M, 516) vector is a stack of M models: its views carry the leading M axis.
+The forward functions (`libc_forward`, `regressor_forward`, `next_input`,
+`rollout_forward`) run all M at once, on one shared (B, 12, 5) input batch or
+on one (M, B, 12, 5) batch per model, giving outputs with a leading M axis.
+The backward functions, `rollout_loss_and_grads` and `adam_step` take the
+same leading axis: each model's gradient goes into its own row of an (M, 516)
+buffer, and each model keeps its own Adam moments and step count. Every
+product keeps the 2-D shapes and strides of a single-model call, so each
+model of a stack computes exactly the bits it would alone.
 
 Training graphs
 ---------------
@@ -259,44 +263,46 @@ def libc_forward(p: LibcParams, x: np.ndarray, need_trace: bool = False):
 
 def libc_backward(p: LibcParams, tr: LibcTrace, d_out: np.ndarray, grads: LibcParams):
     """Add the gradient of a scalar loss wrt the encoder params, given d_out,
-    into `grads`; returns the gradient wrt the input."""
+    into `grads`; returns the gradient wrt the input. Leading model axes of
+    `p`, `tr`, `d_out` and `grads` carry through."""
+    lead, (B, T) = d_out.shape[:-3], d_out.shape[-3:-1]
     act = np.maximum(tr.concat, 0.0)
     d_pre = d_out * (tr.pre > 0)
-    B, T = d_out.shape[0], tr.xs.shape[2]
-    grads.w_c += d_pre.reshape(B * T, HIDDEN).T @ act.reshape(B * T, 2 * HIDDEN)
-    grads.b_c += d_pre.sum(axis=(0, 1))
-    d_act = d_pre @ p.w_c
+    grads.w_c += (np.swapaxes(d_pre.reshape(lead + (B * T, HIDDEN)), -1, -2)
+                  @ act.reshape(lead + (B * T, 2 * HIDDEN)))
+    grads.b_c += d_pre.sum(axis=(-3, -2))
+    d_act = d_pre @ p.w_c[..., None, :, :]
     d_concat = d_act * (tr.concat > 0)
     # back to scan order per direction
-    d_hs = np.stack([d_concat[:, :, :HIDDEN], d_concat[:, ::-1, HIDDEN:]])
+    d_hs = np.stack([d_concat[..., :HIDDEN], d_concat[..., ::-1, HIDDEN:]], axis=-4)
 
     d_xs = np.empty_like(tr.xs)
-    dz_all = np.empty((2, B, T, GATE_ROWS))
-    dh_carry = np.zeros((2, B, HIDDEN))
+    dz_all = np.empty(lead + (2, B, T, GATE_ROWS))
+    dh_carry = np.zeros(lead + (2, B, HIDDEN))
     dc_carry = np.zeros_like(dh_carry)
     for t in range(T - 1, -1, -1):
-        gi = tr.gate_i[:, :, t]
-        gf = tr.gate_f[:, :, t]
-        gg = tr.gate_g[:, :, t]
-        go = tr.gate_o[:, :, t]
-        tc = tr.tanh_c[:, :, t]
-        dh = d_hs[:, :, t] + dh_carry
+        gi = tr.gate_i[..., t, :]
+        gf = tr.gate_f[..., t, :]
+        gg = tr.gate_g[..., t, :]
+        go = tr.gate_o[..., t, :]
+        tc = tr.tanh_c[..., t, :]
+        dh = d_hs[..., t, :] + dh_carry
         do = dh * tc
         dc = dc_carry + dh * go * (1.0 - tc * tc)
         dc_carry = dc * gf
-        dz = dz_all[:, :, t]
+        dz = dz_all[..., t, :]
         dz[..., 0:5] = dc * gg * gi * (1 - gi)
-        dz[..., 5:10] = dc * tr.c_prev[:, :, t] * gf * (1 - gf)
+        dz[..., 5:10] = dc * tr.c_prev[..., t, :] * gf * (1 - gf)
         dz[..., 10:15] = dc * gi * (1 - gg * gg)
         dz[..., 15:20] = do * go * (1 - go)
-        d_xs[:, :, t] = dz @ p.w_x
+        d_xs[..., t, :] = dz @ p.w_x
         dh_carry = dz @ p.w_h
     # weight gradients accumulate over batch and time in two stacked matmuls
-    dz_flat = dz_all.reshape(2, B * T, GATE_ROWS).transpose(0, 2, 1)
-    grads.w_x += dz_flat @ tr.xs.reshape(2, B * T, CHANNELS)
-    grads.w_h += dz_flat @ tr.h_prev.reshape(2, B * T, HIDDEN)
-    grads.b += dz_all.sum(axis=(1, 2))
-    return d_xs[0] + d_xs[1][:, ::-1, :]
+    dz_flat = np.swapaxes(dz_all.reshape(lead + (2, B * T, GATE_ROWS)), -1, -2)
+    grads.w_x += dz_flat @ tr.xs.reshape(lead + (2, B * T, CHANNELS))
+    grads.w_h += dz_flat @ tr.h_prev.reshape(lead + (2, B * T, HIDDEN))
+    grads.b += dz_all.sum(axis=(-3, -2))
+    return d_xs[..., 0, :, :, :] + d_xs[..., 1, :, ::-1, :]
 
 
 @dataclass
@@ -326,18 +332,18 @@ def regressor_forward(p: RegressorParams, latent: np.ndarray, need_trace: bool =
 def regressor_backward(p: RegressorParams, tr: RegressorTrace, d_y: np.ndarray,
                        grads: RegressorParams):
     """Add the regressor's parameter gradient into `grads`; returns the
-    gradient wrt the latent."""
-    d_y2 = d_y[:, None]
-    grads.w3 += d_y2.T @ tr.a2
-    grads.b3 += d_y.sum()
+    gradient wrt the latent. Leading model axes carry through."""
+    d_y2 = d_y[..., None]
+    grads.w3 += np.swapaxes(d_y2, -1, -2) @ tr.a2
+    grads.b3 += d_y.sum(axis=-1, keepdims=True)
     d_a2 = d_y2 @ p.w3
     d_z2 = d_a2 * (tr.z2 > 0)
-    grads.w2 += d_z2.T @ tr.a1
-    grads.b2 += d_z2.sum(axis=0)
+    grads.w2 += np.swapaxes(d_z2, -1, -2) @ tr.a1
+    grads.b2 += d_z2.sum(axis=-2)
     d_a1 = d_z2 @ p.w2
     d_z1 = d_a1 * (tr.z1 > 0)
-    grads.w1 += d_z1.T @ tr.latent
-    grads.b1 += d_z1.sum(axis=0)
+    grads.w1 += np.swapaxes(d_z1, -1, -2) @ tr.latent
+    grads.b1 += d_z1.sum(axis=-2)
     return d_z1 @ p.w1
 
 
@@ -368,15 +374,17 @@ def rollout_forward(model: GlpModel, x0: np.ndarray, gap: int, need_trace=False,
     at[j][b], so memory does not grow with the gap. By default `at` is the
     last application for every row, so latents is that one latent. pred is
     the forecast from latents[-1]. A model whose vector is (M, 516) is a
-    stack of M models: pred is (M, B) and each latent (M, B, 5).
+    stack of M models, run on a shared (B, 12, 5) `x0` or on an (M, B, 12, 5)
+    `x0`, one batch per model: pred is (M, B) and each latent (M, B, 5).
     """
     applications = max(int(gap), 1)
-    at = [np.asarray(apps) for apps in (at or (np.full(len(x0), applications),))]
+    B = x0.shape[-3]
+    at = [np.asarray(apps) for apps in (at or (np.full(B, applications),))]
     for apps in at:
-        if apps.shape != (len(x0),) or ((apps < 1) | (apps > applications)).any():
+        if apps.shape != (B,) or ((apps < 1) | (apps > applications)).any():
             raise TrainingError(f"rollout snapshots need (B,) counts in 1..{applications}")
     seq = x0
-    latents = [np.empty(model.vector.shape[:-1] + (len(x0), HIDDEN)) for _ in at]
+    latents = [np.empty(model.vector.shape[:-1] + (B, HIDDEN)) for _ in at]
     traces = [] if need_trace else None
     for k in range(applications):
         out, tr = libc_forward(model.libc, seq, need_trace)
@@ -394,25 +402,27 @@ def rollout_loss_and_grads(model: GlpModel, x0: np.ndarray, targets: np.ndarray,
     """Batch-mean MSE and its exact gradient as a flat parameter vector.
 
     gap = 0 is the supervised single-pass graph; gap > 0 backpropagates
-    through every unrolled application.
+    through every unrolled application. A stack of M models takes one batch
+    per model, x0 (M, B, 12, 5) and targets (M, B), and returns (M,) losses
+    and an (M, 516) gradient.
     """
-    B = x0.shape[0]
+    B = x0.shape[-3]
     pred, _, traces, rtr = rollout_forward(model, x0, gap, need_trace=True)
     diff = pred - targets
-    loss = float(np.mean(diff * diff))
+    loss = np.mean(diff * diff, axis=-1)
     d_pred = 2.0 * diff / B
 
-    grads = np.zeros(n_parameters())
+    grads = np.zeros(model.vector.shape)
     libc_grads, regressor_grads = param_views(grads)
     d_latent = regressor_backward(model.regressor, rtr, d_pred, regressor_grads)
     d_out = np.zeros_like(x0)
-    d_out[:, -1, :] = d_latent
+    d_out[..., -1, :] = d_latent
 
     for k in range(len(traces) - 1, -1, -1):
         d_x = libc_backward(model.libc, traces[k], d_out, libc_grads)
         if k > 0:
             d_out = np.zeros_like(x0)
-            d_out[:, :, 4] = d_x[:, :, 4]
+            d_out[..., 4] = d_x[..., 4]
     return loss, grads
 
 
@@ -427,25 +437,36 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    step: int
+    m: np.ndarray     # (..., 516)
+    v: np.ndarray     # (..., 516)
+    step: np.ndarray  # (...) int, one step count per model
     learning_rate: float
 
     @classmethod
-    def create(cls, size: int, learning_rate=1e-3):
-        return cls(np.zeros(size), np.zeros(size), 0, learning_rate)
+    def create(cls, shape, learning_rate=1e-3):
+        m = np.zeros(shape)
+        return cls(m, np.zeros(shape), np.zeros(m.shape[:-1], dtype=np.int64), learning_rate)
+
+
+def _bias_correction(beta: float, steps: np.ndarray) -> np.ndarray:
+    """1 - beta**t for each model's step t, as a Python float power (the
+    bits of np.power on an int array are not guaranteed to match), shaped to
+    broadcast over the parameter axis."""
+    steps = np.asarray(steps)
+    return np.array([1.0 - beta ** int(t) for t in steps.flat]).reshape(steps.shape + (1,))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState):
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
-    if params.shape != grads.shape or params.shape != state.m.shape:
+    """One bias-corrected Adam update of every model of a (..., 516) stack;
+    returns (new_params, new_state)."""
+    if (params.shape != grads.shape or params.shape != state.m.shape
+            or np.shape(state.step) != params.shape[:-1]):
         raise TrainingError("adam_step shape mismatch")
     t = state.step + 1
     m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
     v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
+    m_hat = m / _bias_correction(ADAM_BETA1, t)
+    v_hat = v / _bias_correction(ADAM_BETA2, t)
     new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return new_params, replace(state, m=m, v=v, step=t)
 

@@ -1,7 +1,7 @@
 """Training methods, rollout inference, and the validation harness.
 
 Four training methods, dispatched by `train_by_method`, share one
-deterministic fitting loop:
+deterministic fitting loop, `_lockstep`, which trains a stack of models:
 
 * supervised-only: sliding interpolated frames, single encoder pass per batch
   (`train_stage1`);
@@ -16,6 +16,18 @@ Batches are bucketed by gap so every sample in a batch unrolls the same
 number of encoder applications; with all gaps zero the loop is exactly the
 supervised procedure, which makes the ssl path with g = 0 reproduce
 supervised training batch for batch.
+
+Every training function takes a list of `Fit`s, a stack, and one model is a
+stack of one. Each model keeps its own data, random stream, schedule and
+optimizer state; at each step the models whose next batches share batch
+length and gap (and parameter, when the batch rolls out) take one stacked
+`netcore` step. A stacked step computes for each model exactly the bits of
+its solo step, so a model trains to the same weights whatever stack it is
+in. Cross-validation trains every (parameter, threshold, fold) fit of a run
+as one stack and `train_final_models` the six final models as another; with
+`jobs` > 1 a stack is split into `jobs` stacks, one per worker process.
+Frames are stacked once per parameter and threshold (`TrainingFrames`), and
+each fit holds index rows into them.
 
 Validation holds out a patient-level test split once per seed, rotates folds
 inside the training split for repetition, and scores rollout forecasts of
@@ -35,6 +47,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -88,22 +101,57 @@ class TrainConfig:
 
 @dataclass
 class FrameSet:
+    """A set of frames as rows of shared arrays: `rows` lists the set's
+    frames in order, so the sets of many fits share one copy of them."""
+
     x: np.ndarray        # (N, 12, 5)
     targets: np.ndarray  # (N,)
     gaps: np.ndarray     # (N,)
+    rows: np.ndarray     # (n,) int
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return len(self.rows)
 
 
 def frame_set(frames: list[Frame]) -> FrameSet:
     if not frames:
-        return FrameSet(np.empty((0, 12, 5)), np.empty(0), np.empty(0, dtype=int))
+        empty = np.empty(0, dtype=int)
+        return FrameSet(np.empty((0, 12, 5)), np.empty(0), empty, empty)
     return FrameSet(
         np.stack([f.input for f in frames]),
         np.array([f.target for f in frames]),
         np.array([f.gap for f in frames], dtype=int),
+        np.arange(len(frames)),
     )
+
+
+@dataclass
+class FramePool:
+    """Frames stacked once, and the rows of each patient's frames."""
+
+    data: FrameSet
+    rows: dict[str, list[int]]
+
+    @classmethod
+    def of(cls, frames: list[Frame]) -> FramePool:
+        rows: dict[str, list[int]] = {}
+        for row, frame in enumerate(frames):
+            rows.setdefault(frame.patient_id, []).append(row)
+        return cls(frame_set(frames), rows)
+
+    def select(self, patients: list[Patient]) -> FrameSet:
+        """The frames of `patients`, patient by patient in the given order."""
+        rows = [row for p in patients for row in self.rows.get(p.patient_id, ())]
+        return replace(self.data, rows=np.array(rows, dtype=int))
+
+
+@dataclass
+class TrainingFrames:
+    """One parameter's frames over a patient list: the stage-1 frames at each
+    certainty threshold and the rollout frames, each stacked once."""
+
+    stage1: dict[int, FramePool]
+    stage2: FramePool
 
 
 def build_frame_cache(
@@ -133,35 +181,47 @@ def assemble_frames(
     return stage1, stage2
 
 
+def _training_frames(cache, patients: list[Patient], certains: list[int]) -> TrainingFrames:
+    stage1 = {}
+    for certain in certains:
+        frames, rollout = assemble_frames(cache, patients, certain)
+        stage1[certain] = FramePool.of(frames)
+    return TrainingFrames(stage1, FramePool.of(rollout))
+
+
 # ---------------------------------------------------------------------------
-# fitting loop
+# lockstep fitting
+
+
+@dataclass
+class Fit:
+    """One model to train: its lab parameter, its configuration (a stack's
+    fits differ only in certainty threshold and seed) and its frames."""
+
+    parameter: LabParameter
+    config: TrainConfig
+    stage1: FrameSet
+    stage2: FrameSet
 
 
 def _bucket_batches(data: FrameSet, perm: np.ndarray, batch_size: int):
-    """Split a shuffled index order into same-gap batches (ascending gap,
-    order within a bucket preserved)."""
-    buckets: dict[int, list[int]] = {}
-    for index in perm:
-        buckets.setdefault(int(data.gaps[index]), []).append(int(index))
+    """Split a shuffled order of the set's frames into same-gap batches of
+    shared-array rows (ascending gap, order within a bucket preserved)."""
+    rows = data.rows[perm]
+    gaps = data.gaps[rows]
+    rows = rows[np.argsort(gaps, kind="stable")]
     batches = []
-    for gap in sorted(buckets):
-        indices = buckets[gap]
-        for start in range(0, len(indices), batch_size):
-            batches.append((np.array(indices[start : start + batch_size]), gap))
+    for gap, count in zip(*np.unique(gaps, return_counts=True)):
+        bucket, rows = rows[:count], rows[count:]
+        for start in range(0, count, batch_size):
+            batches.append((bucket[start : start + batch_size], int(gap)))
     return batches
 
 
-def _fit(
-    model: nc.GlpModel,
-    sources: list[FrameSet],
-    config: TrainConfig,
-    rng: np.random.Generator,
-) -> tuple[nc.GlpModel, list[float]]:
-    """Adam over every non-empty source's batches, one permutation per source
-    and epoch drawn in source order, the sources' batches taken round robin."""
-    model = nc.vector_to_model(model.vector, model.parameter, model.certain)  # private working copy
-    adam = nc.AdamState.create(model.vector.size, config.learning_rate)
-    history = []
+def _batches(sources: list[FrameSet], config: TrainConfig, rng: np.random.Generator):
+    """One model's batches over all epochs, (set, rows, gap): one permutation
+    per non-empty source and epoch drawn in source order, the sources'
+    batches taken round robin."""
     for _ in range(config.epochs):
         schedules = [
             [(data, *batch) for batch in
@@ -169,21 +229,70 @@ def _fit(
             for data in sources if len(data)
         ]
         for batches in itertools.zip_longest(*schedules):
-            for data, indices, gap in filter(None, batches):
-                loss, grads = nc.rollout_loss_and_grads(
-                    model, data.x[indices], data.targets[indices], gap)
-                updated, adam = nc.adam_step(model.vector, grads, adam)
-                model.vector[...] = updated
-                history.append(loss)
-    return model, history
+            yield from filter(None, batches)
 
 
-def _require(frames: list[Frame], what: str) -> None:
-    if not frames:
+def _lockstep(
+    models: list[nc.GlpModel],
+    sources: list[list[FrameSet]],
+    rngs: list[np.random.Generator],
+    config: TrainConfig,
+) -> tuple[list[nc.GlpModel], list[list[float]]]:
+    """Adam for a stack of models in lockstep; returns trained copies and
+    each model's per-batch losses.
+
+    Model i takes the batches of `sources[i]` drawn from `rngs[i]`, exactly
+    its solo schedule. At each step the models still training are grouped by
+    batch length and gap, and by parameter when gap > 0 (the rollout
+    re-encodes per parameter); each group takes one stacked loss-and-gradient
+    call and one stacked Adam update. A model whose schedule has ended leaves
+    the groups: nothing is padded or masked, so every model's arithmetic is
+    that of its solo fit.
+    """
+    vectors = np.stack([model.vector for model in models])
+    adam = nc.AdamState.create(vectors.shape, config.learning_rate)
+    histories: list[list[float]] = [[] for _ in models]
+    pending = {i: _batches(src, config, rng) for i, (src, rng) in enumerate(zip(sources, rngs))}
+    while pending:
+        groups: dict[tuple, list[tuple[int, FrameSet, np.ndarray]]] = {}
+        for i, batches in list(pending.items()):
+            batch = next(batches, None)
+            if batch is None:
+                del pending[i]
+                continue
+            data, rows, gap = batch
+            key = (len(rows), gap, models[i].parameter if gap else None)
+            groups.setdefault(key, []).append((i, data, rows))
+        for (_, gap, _), members in groups.items():
+            idx = np.array([i for i, _, _ in members])
+            stack = nc.GlpModel(models[idx[0]].parameter, 0, vectors[idx])
+            x0 = np.stack([data.x[rows] for _, data, rows in members])
+            targets = np.stack([data.targets[rows] for _, data, rows in members])
+            losses, grads = nc.rollout_loss_and_grads(stack, x0, targets, gap)
+            state = nc.AdamState(adam.m[idx], adam.v[idx], adam.step[idx], adam.learning_rate)
+            vectors[idx], state = nc.adam_step(stack.vector, grads, state)
+            adam.m[idx], adam.v[idx], adam.step[idx] = state.m, state.v, state.step
+            for i, loss in zip(idx, losses):
+                histories[i].append(float(loss))
+    trained = [nc.vector_to_model(vector, model.parameter, model.certain)
+               for vector, model in zip(vectors, models)]
+    return trained, histories
+
+
+def _shared_config(fits: list[Fit]) -> TrainConfig:
+    """The settings of a stack: its fits may differ in certain and seed only."""
+    first = fits[0].config
+    if any(replace(fit.config, certain=first.certain, seed=first.seed) != first for fit in fits):
+        raise TrainingError("the fits of a stack differ in more than certain and seed")
+    return first
+
+
+def _require(data: FrameSet, what: str) -> None:
+    if not len(data):
         raise TrainingError(f"no frames after certainty filter ({what})")
 
 
-def _scaled_init(parameter: LabParameter, config: TrainConfig, frames: list[Frame]) -> nc.GlpModel:
+def _scaled_init(parameter: LabParameter, config: TrainConfig, *sets: FrameSet) -> nc.GlpModel:
     """Random init calibrated to the training data's scale.
 
     The raw log1p channels carry a large constant offset that saturates the
@@ -200,8 +309,8 @@ def _scaled_init(parameter: LabParameter, config: TrainConfig, frames: list[Fram
     demographic noise that this training budget cannot unlearn.
     """
     model = nc.init_model(parameter, config.certain, derive_seed(config.seed, "init"))
-    x_bar = np.mean([f.input for f in frames], axis=(0, 1))
-    t_bar = float(np.mean([f.target for f in frames]))
+    x_bar = np.mean(np.concatenate([data.x[data.rows] for data in sets]), axis=(0, 1))
+    t_bar = float(np.mean(np.concatenate([data.targets[data.rows] for data in sets])))
     model.libc.w_x[:, :, 0] = 0.0
     model.libc.w_x[:, :, 1] = 0.0
     for d in range(2):
@@ -217,59 +326,62 @@ def _scaled_init(parameter: LabParameter, config: TrainConfig, frames: list[Fram
     return model
 
 
-def _parameter_of(frames: list[Frame]) -> LabParameter:
-    parameters = {f.parameter for f in frames}
-    if len(parameters) != 1:
-        raise TrainingError(f"frames span parameters {sorted(p.value for p in parameters)}")
-    return next(iter(parameters))
+def train_stage1(fits: list[Fit]) -> list[nc.GlpModel]:
+    """Supervised training of a stack on its sliding interpolated frames
+    (all gaps 0)."""
+    for fit in fits:
+        _require(fit.stage1, "stage 1")
+    models = [_scaled_init(fit.parameter, fit.config, fit.stage1) for fit in fits]
+    models, histories = _lockstep(
+        models, [[fit.stage1] for fit in fits],
+        [rng_from(fit.config.seed, "fit") for fit in fits], _shared_config(fits))
+    for model, history in zip(models, histories):
+        logger.debug("stage1 %s: loss %.5f -> %.5f", model.parameter.value, history[0], history[-1])
+    return models
 
 
-def train_stage1(frames: list[Frame], config: TrainConfig) -> nc.GlpModel:
-    """Supervised training on sliding interpolated frames (all gaps 0)."""
-    _require(frames, "stage 1")
-    parameter = _parameter_of(frames)
-    model = _scaled_init(parameter, config, frames)
-    model, history = _fit(model, [frame_set(frames)], config, rng_from(config.seed, "fit"))
-    logger.debug("stage1 %s: loss %.5f -> %.5f", parameter.value, history[0], history[-1])
-    return model
+def train_stage2(models: list[nc.GlpModel], fits: list[Fit],
+                 rng_label: str = "fit") -> list[nc.GlpModel]:
+    """Rollout training of a stack, continuing from existing models."""
+    for model, fit in zip(models, fits, strict=True):
+        _require(fit.stage2, "stage 2")
+        if fit.parameter is not model.parameter:
+            raise TrainingError("frame parameter does not match the model")
+    models, histories = _lockstep(
+        models, [[fit.stage2] for fit in fits],
+        [rng_from(fit.config.seed, rng_label) for fit in fits], _shared_config(fits))
+    for model, history in zip(models, histories):
+        logger.debug("stage2 %s: loss %.5f -> %.5f", model.parameter.value, history[0], history[-1])
+    return models
 
 
-def train_stage2(model: nc.GlpModel, frames: list[Frame], config: TrainConfig,
-                 rng_label: str = "fit") -> nc.GlpModel:
-    """Rollout training continuing from an existing model's parameters."""
-    _require(frames, "stage 2")
-    if _parameter_of(frames) is not model.parameter:
-        raise TrainingError("frame parameter does not match the model")
-    model, history = _fit(model, [frame_set(frames)], config, rng_from(config.seed, rng_label))
-    logger.debug("stage2 %s: loss %.5f -> %.5f", model.parameter.value, history[0], history[-1])
-    return model
+def train_hybrid(fits: list[Fit]) -> list[nc.GlpModel]:
+    """Interleaved supervised and rollout batches, one optimizer state per
+    model."""
+    for fit in fits:
+        _require(fit.stage1, "stage 1")
+    models = [_scaled_init(fit.parameter, fit.config, fit.stage1, fit.stage2) for fit in fits]
+    models, _ = _lockstep(
+        models, [[fit.stage1, fit.stage2] for fit in fits],
+        [rng_from(fit.config.seed, "fit") for fit in fits], _shared_config(fits))
+    return models
 
 
-def train_hybrid(
-    stage1_frames: list[Frame], stage2_frames: list[Frame], config: TrainConfig
-) -> nc.GlpModel:
-    """Interleaved supervised and rollout batches, one optimizer state."""
-    _require(stage1_frames, "stage 1")
-    parameter = _parameter_of(stage1_frames)
-    model = _scaled_init(parameter, config, stage1_frames + list(stage2_frames))
-    sources = [frame_set(stage1_frames), frame_set(stage2_frames)]
-    model, _ = _fit(model, sources, config, rng_from(config.seed, "fit"))
-    return model
-
-
-def train_by_method(stage1_frames, stage2_frames, config: TrainConfig):
-    """Dispatch on config.method; returns (stage1_model_or_None, final_model)."""
-    if config.method is TrainMethod.SUPERVISED_ONLY:
-        model = train_stage1(stage1_frames, config)
-        return model, model
-    if config.method is TrainMethod.HYBRID:
-        return None, train_hybrid(stage1_frames, stage2_frames, config)
-    if config.method is TrainMethod.SSL_ONLY:
-        _require(stage2_frames, "stage 2")
-        init = _scaled_init(_parameter_of(stage2_frames), config, stage2_frames)
-        return None, train_stage2(init, stage2_frames, config)
-    intermediate = train_stage1(stage1_frames, config)
-    return intermediate, train_stage2(intermediate, stage2_frames, config, "fit-stage2")
+def train_by_method(fits: list[Fit]) -> list[tuple[nc.GlpModel | None, nc.GlpModel]]:
+    """Train a stack by its method; returns (stage1_model_or_None,
+    final_model) per fit."""
+    method = _shared_config(fits).method
+    if method is TrainMethod.SUPERVISED_ONLY:
+        return [(model, model) for model in train_stage1(fits)]
+    if method is TrainMethod.HYBRID:
+        return [(None, model) for model in train_hybrid(fits)]
+    if method is TrainMethod.SSL_ONLY:
+        for fit in fits:
+            _require(fit.stage2, "stage 2")
+        inits = [_scaled_init(fit.parameter, fit.config, fit.stage2) for fit in fits]
+        return [(None, model) for model in train_stage2(inits, fits)]
+    intermediates = train_stage1(fits)
+    return list(zip(intermediates, train_stage2(intermediates, fits, "fit-stage2")))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +451,9 @@ class PretrainReport:
     n_test: int
     parameters: dict[str, ParameterResult] = field(default_factory=dict)
     mean_r2: float = float("nan")
-    wall_clock_seconds: float = 0.0  # kept on the object, not serialized
+    # kept on the object, not serialized
+    wall_clock_seconds: float = 0.0
+    frames: dict[LabParameter, TrainingFrames] = field(default_factory=dict, repr=False)
 
     @property
     def method(self) -> str:
@@ -392,47 +506,31 @@ def _job_config(config: TrainConfig, parameter: LabParameter, certain: int, fold
     )
 
 
-def _run_parameter_cv(args):
-    """Fold-rotated training for one (parameter, certain) cell.
-
-    Returns (per-fold final R^2, per-fold supervised-intermediate R^2 or None).
-    """
-    patients_train, test_frames, cache, config, parameter, certain = args
-    folds = make_folds(patients_train, config.folds, derive_seed(config.seed, "cv"))
-    fold_r2, stage1_r2 = [], []
-    for k in range(config.folds):
-        fit_patients = [p for j, fold in enumerate(folds) if j != k for p in fold]
-        stage1, stage2 = assemble_frames(cache, fit_patients, certain)
-        job = _job_config(config, parameter, certain, k)
-        intermediate, final = train_by_method(stage1, stage2, job)
-        fold_r2.append(evaluate_r2(final, test_frames))
-        if config.method is TrainMethod.TWO_STAGE:
-            stage1_r2.append(evaluate_r2(intermediate, test_frames))
-    return fold_r2, (stage1_r2 if stage1_r2 else None)
+def _in_stacks(fn, fits: list[Fit], jobs: int) -> list:
+    """fn over the fits as one stack, or as `jobs` stacks of consecutive fits,
+    one per worker process; results in fit order."""
+    if jobs <= 1:
+        return fn(fits)
+    chunks = [fits[len(fits) * k // jobs : len(fits) * (k + 1) // jobs] for k in range(jobs)]
+    chunks = [chunk for chunk in chunks if chunk]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return [result for part in pool.map(fn, chunks) for result in part]
 
 
-def _parameter_cells(patients, config: TrainConfig, certains: list[int]):
-    """Yield one CV job per (parameter, certain), with shared frame caches."""
-    train, test = split_cohort(patients, config.split_ratio, config.seed)
-    if len(train) < config.folds:
-        raise ConfigError(f"{len(train)} training patients cannot fill {config.folds} folds")
-    cells = []
-    for parameter in config.parameters:
-        cache = build_frame_cache(train, parameter, config.interp)
-        test_cache = build_frame_cache(test, parameter, config.interp)
-        _, test_frames = assemble_frames(test_cache, test, certain=0)
-        if len(test_frames) < 2:
-            raise ConfigError("test split yields fewer than 2 rollout frames")
-        for certain in certains:
-            cells.append((train, test_frames, cache, config, parameter, certain))
-    return train, test, cells
+def _score_stack(test_frames: dict[LabParameter, list[Frame]], fits: list[Fit]):
+    """Train a stack and score each fit on its parameter's held-out frames:
+    (final R^2, supervised-intermediate R^2 or None) per fit."""
+    scores = []
+    for fit, (intermediate, final) in zip(fits, train_by_method(fits)):
+        held_out = test_frames[fit.parameter]
+        stage1_r2 = (evaluate_r2(intermediate, held_out)
+                     if fit.config.method is TrainMethod.TWO_STAGE else None)
+        scores.append((evaluate_r2(final, held_out), stage1_r2))
+    return scores
 
 
-def _execute(fn, cells, jobs: int):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(cell) for cell in cells]
+def _final_stack(fits: list[Fit]) -> list[nc.GlpModel]:
+    return [final for _, final in train_by_method(fits)]
 
 
 def _grid_row(certain: int, fold_r2: list[float], stage1_r2: list[float] | None) -> GridRow:
@@ -442,24 +540,45 @@ def _grid_row(certain: int, fold_r2: list[float], stage1_r2: list[float] | None)
 
 def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
               jobs: int) -> PretrainReport:
-    """Fold-rotated training at each threshold in `certains`; per parameter the
-    argmax mean R^2 is chosen, ties toward the earlier threshold. A report of
-    one threshold carries no grid."""
+    """Fold-rotated training at each threshold in `certains`, every fit of
+    every (parameter, threshold, fold) in one stack; per parameter the argmax
+    mean R^2 is chosen, ties toward the earlier threshold. A report of one
+    threshold carries no grid."""
     config.validate()
     started = time.perf_counter()
-    train, test, cells = _parameter_cells(patients, config, certains)
-    results = _execute(_run_parameter_cv, cells, jobs)
-    by_parameter: dict[str, list[tuple[int, list[float], list[float] | None]]] = {}
-    for (_, _, _, _, parameter, certain), (fold_r2, stage1_r2) in zip(cells, results):
-        by_parameter.setdefault(parameter.value, []).append((certain, fold_r2, stage1_r2))
+    train, test = split_cohort(patients, config.split_ratio, config.seed)
+    if len(train) < config.folds:
+        raise ConfigError(f"{len(train)} training patients cannot fill {config.folds} folds")
+    folds = make_folds(train, config.folds, derive_seed(config.seed, "cv"))
+    fit_patients = [[p for j, fold in enumerate(folds) if j != k for p in fold]
+                    for k in range(config.folds)]
+    frames: dict[LabParameter, TrainingFrames] = {}
+    test_frames: dict[LabParameter, list[Frame]] = {}
+    fits = []
+    for parameter in config.parameters:
+        test_cache = build_frame_cache(test, parameter, config.interp)
+        _, test_frames[parameter] = assemble_frames(test_cache, test, certain=0)
+        if len(test_frames[parameter]) < 2:
+            raise ConfigError("test split yields fewer than 2 rollout frames")
+        pools = frames[parameter] = _training_frames(
+            build_frame_cache(train, parameter, config.interp), train, certains)
+        for certain in certains:
+            for k, members in enumerate(fit_patients):
+                fits.append(Fit(
+                    parameter, _job_config(config, parameter, certain, k),
+                    pools.stage1[certain].select(members), pools.stage2.select(members)))
+    scores = iter(_in_stacks(partial(_score_stack, test_frames), fits, jobs))
 
     report = PretrainReport(
         config_echo=_config_echo(config), seed=config.seed,
         certain=certains[0] if len(certains) == 1 else "sweep",
-        n_patients=len(patients), n_train=len(train), n_test=len(test),
+        n_patients=len(patients), n_train=len(train), n_test=len(test), frames=frames,
     )
     for parameter in config.parameters:
-        rows = by_parameter[parameter.value]
+        rows = []
+        for certain in certains:
+            fold_r2, stage1_r2 = zip(*itertools.islice(scores, config.folds))
+            rows.append((certain, list(fold_r2), None if stage1_r2[0] is None else list(stage1_r2)))
         grid = [_grid_row(*row) for row in rows]
         chosen = argmax_certain([row.mean_r2 for row in grid])
         _, chosen_fold_r2, chosen_stage1 = rows[chosen]
@@ -488,25 +607,22 @@ def sweep_certain(patients: list[Patient], config: TrainConfig, jobs: int = 1) -
 
 
 def train_final_models(
-    patients: list[Patient], config: TrainConfig, chosen: dict[str, int], jobs: int = 1
+    patients: list[Patient], config: TrainConfig, chosen: dict[str, int], jobs: int = 1,
+    frames: dict[LabParameter, TrainingFrames] | None = None,
 ) -> dict[LabParameter, nc.GlpModel]:
-    """Train one deployable model per parameter on the full training split."""
+    """Train one deployable model per parameter on the full training split,
+    the six as one stack. `frames` are the training split's frames a
+    `PretrainReport` of the same patients and config holds; without them
+    they are built here."""
     train, _ = split_cohort(patients, config.split_ratio, config.seed)
-    cells = []
+    fits = []
     for parameter in config.parameters:
-        cache = build_frame_cache(train, parameter, config.interp)
         certain = chosen[parameter.value]
-        stage1, stage2 = assemble_frames(cache, train, certain)
+        pools = (frames or {}).get(parameter) or _training_frames(
+            build_frame_cache(train, parameter, config.interp), train, [certain])
         job = replace(config, certain=certain, seed=derive_seed(config.seed, parameter.value, "final"))
-        cells.append((stage1, stage2, job, parameter))
-    results = _execute(_train_final_model, cells, jobs)
-    return {parameter: model for (_, _, _, parameter), model in zip(cells, results)}
-
-
-def _train_final_model(cell):
-    stage1, stage2, job, _ = cell
-    _, model = train_by_method(stage1, stage2, job)
-    return model
+        fits.append(Fit(parameter, job, pools.stage1[certain].data, pools.stage2.data))
+    return dict(zip(config.parameters, _in_stacks(_final_stack, fits, jobs)))
 
 
 # ---------------------------------------------------------------------------

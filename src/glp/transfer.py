@@ -35,7 +35,7 @@ from . import netcore as nc
 from .classifiers import ClassifierKind, train_classifier
 from .cohort import PARAMETER_ORDER, EpisodicRecord, LabParameter
 from .encoding import FRAME_WIDTH, denormalize, encode_frame
-from .errors import EvaluationError, IntegrityError, TrainingError
+from .errors import ConfigError, EvaluationError, IntegrityError, TrainingError
 from .seeding import derive_seed, rng_from
 from .stats import t_test
 
@@ -209,14 +209,21 @@ class DownstreamReport:
 
 
 def _stratified_split(labels: np.ndarray, ratio: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted int (train, test) indices, `ratio` of each class (rounded) to
+    train. Raises ConfigError when the ratio leaves a class without training
+    or test rows."""
     train_idx, test_idx = [], []
     for value in (0, 1):
         indices = np.flatnonzero(labels == value)
         order = rng.permutation(len(indices))
         n_train = int(round(ratio * len(indices)))
+        if not 0 < n_train < len(indices):
+            raise ConfigError(
+                f"transfer.split_ratio {ratio} leaves class {value} ({len(indices)} rows) "
+                "without training or test rows")
         train_idx.extend(indices[order[:n_train]])
         test_idx.extend(indices[order[n_train:]])
-    return np.array(sorted(train_idx)), np.array(sorted(test_idx))
+    return np.array(sorted(train_idx), dtype=int), np.array(sorted(test_idx), dtype=int)
 
 
 def run_downstream_study(
@@ -226,7 +233,12 @@ def run_downstream_study(
     repetitions: int = 5,
     split_ratio: float = 0.8,
 ) -> tuple[DownstreamReport, list[ProgressFeatures]]:
-    """The full classification comparison across raw / emb / out features."""
+    """The full classification comparison across raw / emb / out features.
+
+    Raises ConfigError when `repetitions` < 1, or when `split_ratio` leaves a
+    class of the balanced set without training or test rows."""
+    if repetitions < 1:
+        raise ConfigError("transfer.repetitions must be >= 1")
     checksums_before = {p.value: nc.model_checksum(models[p]) for p in PARAMETER_ORDER}
     features = extract_features_bulk(models, records)
     matrices = {

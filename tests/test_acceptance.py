@@ -25,11 +25,13 @@ from glp.cohort import (
 )
 from glp.interp import barycentric_at, barycentric_fill, linear_at, pchip_fill
 from glp.pipeline import (
+    Fit,
     TrainConfig,
     TrainMethod,
     assemble_frames,
     build_frame_cache,
     cross_validate,
+    frame_set,
     split_cohort,
     train_by_method,
 )
@@ -65,14 +67,15 @@ def pretext_cohort():
 
 @pytest.fixture(scope="module")
 def frozen_models(pretext_cohort):
-    models = {}
+    fits = []
     started = time.perf_counter()
     for parameter in PARAMETER_ORDER:
         config = TrainConfig(certain=3, seed=derive_seed(7, parameter.value, "final"))
         train, _ = split_cohort(pretext_cohort, config.split_ratio, config.seed)
         cache = build_frame_cache(train, parameter, config.interp)
         stage1, stage2 = assemble_frames(cache, train, config.certain)
-        _, models[parameter] = train_by_method(stage1, stage2, config)
+        fits.append(Fit(parameter, config, frame_set(stage1), frame_set(stage2)))
+    models = {fit.parameter: final for fit, (_, final) in zip(fits, train_by_method(fits))}
     sys.__stdout__.write(
         f"\n[acceptance] (six transfer models pretrained in {time.perf_counter()-started:.0f}s)\n"
     )

@@ -152,6 +152,26 @@ def test_config_value_of_wrong_type_rejected(tmp_path, override):
     assert main(["synth", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("override", [
+    {"jobs": 0},
+    {"jobs": -2},
+    {"transfer": {"repetitions": 0}},
+    {"transfer": {"split_ratio": 0.0}},
+    {"transfer": {"split_ratio": 1.5}},
+], ids=["jobs-0", "jobs-negative", "repetitions-0", "split-0", "split-1.5"])
+def test_run_settings_rejected_at_config_load(tmp_path, override):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), **override}))
+    assert main(["synth", "--config", str(path)]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_jobs_flag_rejected_like_the_config_value(tmp_path, capsys):
+    config, _ = tiny_config(tmp_path)
+    assert main(["synth", "--config", str(config), "--jobs", "0"]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_invalid_nested_key_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"train": {"certain": 99}}))

@@ -125,6 +125,35 @@ def test_stacked_models_match_single_models(gap):
             np.testing.assert_allclose(latent[m], latent_m, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("gap", [0, 3, 6])
+def test_stacked_gradients_match_single_models(gap):
+    """One batch per model: the stacked loss, (M, 516) gradient and Adam
+    update equal M single-model calls bit for bit."""
+    rng = np.random.default_rng(40 + gap)
+    singles = [random_model(seed) for seed in (40, 41, 42, 43)]
+    batches = [make_glucose_batch(5, rng) for _ in singles]
+    x0 = np.stack([x for x, _ in batches])
+    targets = np.stack([t for _, t in batches])
+    stacked = nc.GlpModel(LabParameter.GLUCOSE_AC, 0, np.stack([m.vector for m in singles]))
+    losses, grads = nc.rollout_loss_and_grads(stacked, x0, targets, gap)
+    assert losses.shape == (4,) and grads.shape == (4, 516)
+    state = nc.AdamState.create(grads.shape)
+    state.step[:] = [0, 3, 17, 250]
+    state.m[:] = rng.normal(size=grads.shape)
+    state.v[:] = rng.uniform(size=grads.shape)
+    updated, after = nc.adam_step(stacked.vector, grads, state)
+    for m, (single, (x, t)) in enumerate(zip(singles, batches)):
+        loss, grad = nc.rollout_loss_and_grads(single, x, t, gap)
+        assert loss == losses[m]
+        assert np.array_equal(grad, grads[m])
+        alone = nc.AdamState(state.m[m].copy(), state.v[m].copy(), state.step[m],
+                             state.learning_rate)
+        vector, alone = nc.adam_step(single.vector, grad, alone)
+        assert np.array_equal(vector, updated[m])
+        assert np.array_equal(alone.m, after.m[m]) and np.array_equal(alone.v, after.v[m])
+        assert alone.step == after.step[m] == state.step[m] + 1
+
+
 def test_rollout_snapshots_each_row_at_its_own_application():
     singles = [random_model(seed) for seed in (30, 31)]
     stacked = nc.GlpModel(LabParameter.GLUCOSE_AC, 0, np.stack([m.vector for m in singles]))

@@ -8,9 +8,10 @@ from glp.cohort import GeneratorSpec, LabParameter, generate_pretext_cohort
 from glp.errors import ConfigError, EvaluationError, TrainingError
 from glp.interp import InterpMethod
 from glp.pipeline import (
+    Fit,
     TrainConfig,
     TrainMethod,
-    _fit,
+    _lockstep,
     _scaled_init,
     argmax_certain,
     assemble_frames,
@@ -19,16 +20,25 @@ from glp.pipeline import (
     evaluate_r2,
     frame_set,
     make_folds,
+    report_to_dict,
     split_cohort,
     train_by_method,
     train_hybrid,
     train_stage1,
     train_stage2,
 )
-from glp.seeding import rng_from
+from glp.seeding import derive_seed, rng_from
 from helpers import views_alias_vector
 
 QUICK = TrainConfig(epochs=4, seed=5)
+
+
+def fit_of(stage1, stage2=(), config=QUICK, parameter=LabParameter.WBC):
+    return Fit(parameter, config, frame_set(list(stage1)), frame_set(list(stage2)))
+
+
+def stage1_model(frames, config=QUICK):
+    return train_stage1([fit_of(frames, config=config)])[0]
 
 
 @pytest.fixture(scope="module")
@@ -44,20 +54,20 @@ def frames(small_cohort):
 
 def test_train_stage1_requires_frames():
     with pytest.raises(TrainingError, match="certainty filter"):
-        train_stage1([], QUICK)
+        train_stage1([fit_of([])])
 
 
 def test_stage2_rejects_parameter_mismatch(frames):
     s1, s2 = frames
     model = nc.init_model(LabParameter.UA, 0, 1)
     with pytest.raises(TrainingError, match="does not match"):
-        train_stage2(model, s2, QUICK)
+        train_stage2([model], [fit_of([], s2)])
 
 
 def test_training_determinism(frames):
     s1, _ = frames
-    a = train_stage1(s1[:60], QUICK)
-    b = train_stage1(s1[:60], QUICK)
+    a = stage1_model(s1[:60])
+    b = stage1_model(s1[:60])
     assert np.array_equal(a.vector, b.vector)
 
 
@@ -65,29 +75,27 @@ def test_stage2_with_zero_gaps_equals_stage1(frames):
     s1, _ = frames
     subset = s1[:60]
     config = QUICK
-    supervised = train_stage1(subset, config)
-    start = _scaled_init(LabParameter.WBC, config, subset)
-    via_stage2 = train_stage2(start, subset, config)
+    supervised = stage1_model(subset, config)
+    start = _scaled_init(LabParameter.WBC, config, frame_set(subset))
+    [via_stage2] = train_stage2([start], [fit_of([], subset, config)])
     assert np.array_equal(supervised.vector, via_stage2.vector)
     # identical per-batch loss sequences as well
-    start1 = _scaled_init(LabParameter.WBC, config, subset)
-    start2 = _scaled_init(LabParameter.WBC, config, subset)
-    _, h1 = _fit(start1, [frame_set(subset)], config, rng_from(config.seed, "fit"))
-    _, h2 = _fit(start2, [frame_set(subset)], config, rng_from(config.seed, "fit"))
+    start1 = _scaled_init(LabParameter.WBC, config, frame_set(subset))
+    start2 = _scaled_init(LabParameter.WBC, config, frame_set(subset))
+    _, [h1] = _lockstep([start1], [[frame_set(subset)]], [rng_from(config.seed, "fit")], config)
+    _, [h2] = _lockstep([start2], [[frame_set(subset)]], [rng_from(config.seed, "fit")], config)
     assert h1 == h2
 
 
 def test_hybrid_without_stage2_equals_supervised(frames):
     s1, _ = frames
     subset = s1[:60]
-    assert np.array_equal(
-        train_hybrid(subset, [], QUICK).vector, train_stage1(subset, QUICK).vector
-    )
+    assert np.array_equal(train_hybrid([fit_of(subset)])[0].vector, stage1_model(subset).vector)
 
 
 def test_hybrid_runs_with_both_sets(frames):
     s1, s2 = frames
-    model = train_hybrid(s1[:40], s2[:10], QUICK)
+    [model] = train_hybrid([fit_of(s1[:40], s2[:10])])
     assert model.parameter is LabParameter.WBC
 
 
@@ -95,7 +103,7 @@ def test_all_methods_complete(frames):
     s1, s2 = frames
     for method in TrainMethod:
         config = dataclasses.replace(QUICK, method=method)
-        _, model = train_by_method(s1[:40], s2[:12], config)
+        [(_, model)] = train_by_method([fit_of(s1[:40], s2[:12], config)])
         assert np.all(np.isfinite(model.vector))
 
 
@@ -105,8 +113,8 @@ def test_loss_decreases_on_planted_data(frames):
     drops = []
     for seed in range(5):
         cfg = dataclasses.replace(config, seed=seed)
-        start = _scaled_init(LabParameter.WBC, cfg, s1)
-        _, history = _fit(start, [frame_set(s1)], cfg, rng_from(seed, "fit"))
+        start = _scaled_init(LabParameter.WBC, cfg, frame_set(s1))
+        _, [history] = _lockstep([start], [[frame_set(s1)]], [rng_from(seed, "fit")], cfg)
         first = np.mean(history[: len(history) // 12])
         last = np.mean(history[-len(history) // 12 :])
         drops.append(last - first)
@@ -116,14 +124,14 @@ def test_loss_decreases_on_planted_data(frames):
 def test_single_frame_overfit(frames):
     s1, _ = frames
     config = dataclasses.replace(QUICK, epochs=400, learning_rate=5e-3)
-    model = train_stage1(s1[:1], config)
+    model = stage1_model(s1[:1], config)
     pred, _, _, _ = nc.rollout_forward(model, s1[0].input[None], 0)
     assert (pred[0] - s1[0].target) ** 2 < 1e-4
 
 
 def test_rollout_gap_zero_equals_single_pass(frames):
     s1, _ = frames
-    model = train_stage1(s1[:40], QUICK)
+    model = stage1_model(s1[:40])
     x = s1[7].input[None]
     pred, latents, _, _ = nc.rollout_forward(model, x, 0)
     out, _ = nc.libc_forward(model.libc, x)
@@ -135,7 +143,7 @@ def test_rollout_gap_zero_equals_single_pass(frames):
 @pytest.mark.parametrize("gap", [1, 3, 6])
 def test_rollout_trajectory_length(frames, gap):
     s1, _ = frames
-    model = train_stage1(s1[:40], QUICK)
+    model = stage1_model(s1[:40])
     at = tuple(np.full(1, k) for k in range(1, gap + 1))
     _, latents, _, _ = nc.rollout_forward(model, s1[0].input[None], gap, at=at)
     assert len(latents) == gap
@@ -152,7 +160,7 @@ def test_rollout_zero_weights():
 
 def test_evaluate_r2_validation(frames):
     s1, _ = frames
-    model = train_stage1(s1[:40], QUICK)
+    model = stage1_model(s1[:40])
     with pytest.raises(EvaluationError):
         evaluate_r2(model, s1[:1])
 
@@ -276,21 +284,71 @@ def test_parallel_jobs_match_sequential(small_cohort):
 
 def test_scaled_init_views_alias_the_vector(frames):
     s1, _ = frames
-    assert views_alias_vector(_scaled_init(LabParameter.WBC, QUICK, s1[:20]))
+    assert views_alias_vector(_scaled_init(LabParameter.WBC, QUICK, frame_set(s1[:20])))
 
 
 def test_final_models_from_workers_match_and_keep_views(small_cohort):
     from glp.pipeline import train_final_models
 
-    config = TrainConfig(epochs=2, seed=8, parameters=(LabParameter.WBC, LabParameter.UA))
+    config = TrainConfig(epochs=2, seed=8, folds=2, parameters=(LabParameter.WBC, LabParameter.UA))
+    report = cross_validate(small_cohort, config, jobs=1)
+    assert report_to_dict(cross_validate(small_cohort, config, jobs=2)) == report_to_dict(report)
     chosen = {"WBC": 2, "UA": 0}
     sequential = train_final_models(small_cohort, config, chosen, jobs=1)
     parallel = train_final_models(small_cohort, config, chosen, jobs=2)
+    chosen = {name: result.chosen_certain for name, result in report.parameters.items()}
+    reused = train_final_models(small_cohort, config, chosen, frames=report.frames)
+    rebuilt = train_final_models(small_cohort, config, chosen)
     for parameter, model in parallel.items():
+        assert np.array_equal(reused[parameter].vector, rebuilt[parameter].vector)
         assert np.array_equal(model.vector, sequential[parameter].vector)
         assert views_alias_vector(model)
         model.regressor.b3[0] += 1.0  # a write through a view reaches the vector
         assert not np.array_equal(model.vector, sequential[parameter].vector)
+
+
+def test_lockstep_stack_matches_solo_fits(small_cohort):
+    """Ragged schedules in one stack: different frame counts, both sources of
+    hybrid, rollout gaps 0 to 5, two parameters, models that finish early.
+    Each model's weights and per-batch losses equal its solo fit bit for bit."""
+    frames = {}
+    for parameter in (LabParameter.WBC, LabParameter.GLUCOSE_AC):
+        cache = build_frame_cache(small_cohort, parameter, InterpMethod.LINEAR)
+        frames[parameter] = assemble_frames(cache, small_cohort, certain=0)
+    config = TrainConfig(epochs=2, batch_size=4, method=TrainMethod.HYBRID)
+    gap2 = {parameter: [f for f in s2 if f.gap == 2][:2] for parameter, (_, s2) in frames.items()}
+    fits = [
+        fit_of(s1[:n1], s2[:n2], dataclasses.replace(config, seed=seed), parameter)
+        for seed, parameter, n1, n2 in [
+            (0, LabParameter.WBC, 40, 20), (1, LabParameter.GLUCOSE_AC, 25, 20),
+            (2, LabParameter.WBC, 9, 3), (3, LabParameter.GLUCOSE_AC, 60, 7),
+            (4, LabParameter.GLUCOSE_AC, 14, 0),
+        ]
+        for s1, s2 in [frames[parameter]]
+    ]
+    # equal seeds and sizes: these two meet at gap 2 at the same steps and must
+    # still run apart, each rollout re-encoded for its own parameter
+    fits += [fit_of(frames[parameter][0][:30], gap2[parameter],
+                    dataclasses.replace(config, seed=5), parameter) for parameter in gap2]
+    assert len({g for fit in fits for g in fit.stage2.gaps[fit.stage2.rows]}) > 2
+    models = [_scaled_init(fit.parameter, fit.config, fit.stage1, fit.stage2) for fit in fits]
+    sources = [[fit.stage1, fit.stage2] for fit in fits]
+    rngs = lambda: [rng_from(fit.config.seed, "fit") for fit in fits]  # noqa: E731
+    stacked, histories = _lockstep(models, sources, rngs(), config)
+    assert len({len(h) for h in histories}) > 2
+    for m, rng in enumerate(rngs()):
+        [solo], [history] = _lockstep([models[m]], [sources[m]], [rng], config)
+        assert np.array_equal(stacked[m].vector, solo.vector)
+        assert history == histories[m]
+    two_stage = []
+    for fit in fits[:4]:
+        method = dataclasses.replace(fit.config, method=TrainMethod.TWO_STAGE)
+        two_stage.append(dataclasses.replace(fit, config=method))
+    together = train_by_method(two_stage)
+    for fit, (intermediate, final) in zip(two_stage, together):
+        [(alone_intermediate, alone_final)] = train_by_method([fit])
+        assert np.array_equal(intermediate.vector, alone_intermediate.vector)
+        assert np.array_equal(final.vector, alone_final.vector)
 
 
 def test_train_final_models_respects_chosen(small_cohort):

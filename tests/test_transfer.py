@@ -10,9 +10,10 @@ from glp.cohort import (
     PARAMETER_ORDER,
     generate_downstream_cohort,
 )
-from glp.errors import EvaluationError, TrainingError
+from glp.errors import ConfigError, EvaluationError, TrainingError
 from glp.transfer import (
     _balanced_indices,
+    _stratified_split,
     auroc,
     classification_metrics,
     cohens_kappa,
@@ -111,6 +112,22 @@ def test_downsample_requires_enough_negatives():
     labels = _labels(DownstreamSpec(n_positive=5, n_negative=3, seed=2))
     with pytest.raises(TrainingError):
         _balanced_indices(labels, seed=0)
+
+
+def test_stratified_split_returns_int_indices_or_rejects_an_empty_class():
+    labels = np.array([1] * 8 + [0] * 8)
+    train, test = _stratified_split(labels, 0.8, np.random.default_rng(0))
+    assert train.dtype.kind == test.dtype.kind == "i"
+    assert sorted(np.concatenate([train, test]).tolist()) == list(range(16))
+    assert labels[train].sum() == 6 and labels[test].sum() == 2
+    for ratio in (0.05, 0.97):  # 8 rows a class: 0 train rows, then 0 test rows
+        with pytest.raises(ConfigError, match="without training or test rows"):
+            _stratified_split(labels, ratio, np.random.default_rng(0))
+
+
+def test_study_rejects_no_repetitions():
+    with pytest.raises(ConfigError, match="repetitions"):
+        run_downstream_study(_models(), [_record()], seed=0, repetitions=0)
 
 
 def brute_force_auroc(labels, scores):
