@@ -248,9 +248,7 @@ def cmd_pretrain(config: dict) -> dict[str, Path]:
         report = sweep_certain(loaded.patients, train_config, jobs=jobs)
     else:
         report = cross_validate(loaded.patients, train_config, jobs=jobs)
-    chosen = {name: result.chosen_certain for name, result in report.parameters.items()}
-    models = train_final_models(loaded.patients, train_config, chosen, jobs=jobs,
-                                frames=report.frames)
+    models = train_final_models(report, train_config, jobs=jobs)
 
     artifacts: dict[str, Path] = {}
     for parameter in PARAMETER_ORDER:

@@ -26,8 +26,9 @@ its solo step, so a model trains to the same weights whatever stack it is
 in. Cross-validation trains every (parameter, threshold, fold) fit of a run
 as one stack and `train_final_models` the six final models as another; with
 `jobs` > 1 a stack is split into `jobs` stacks, one per worker process.
-Frames are stacked once per parameter and threshold (`TrainingFrames`), and
-each fit holds index rows into them.
+Frames are stacked once per parameter at the smallest threshold trained
+(`TrainingFrames`), and each fit holds index rows into them, filtered by its
+own threshold; the final models reuse them from the `PretrainReport`.
 
 Validation holds out a patient-level test split once per seed, rotates folds
 inside the training split for repetition, and scores rollout forecasts of
@@ -127,9 +128,11 @@ def frame_set(frames: list[Frame]) -> FrameSet:
 
 @dataclass
 class FramePool:
-    """Frames stacked once, and the rows of each patient's frames."""
+    """Frames stacked once, each frame's count of real months, and the rows
+    of each patient's frames."""
 
     data: FrameSet
+    real_counts: np.ndarray  # (N,) int
     rows: dict[str, list[int]]
 
     @classmethod
@@ -137,20 +140,28 @@ class FramePool:
         rows: dict[str, list[int]] = {}
         for row, frame in enumerate(frames):
             rows.setdefault(frame.patient_id, []).append(row)
-        return cls(frame_set(frames), rows)
+        real_counts = np.array([frame.real_count for frame in frames], dtype=int)
+        return cls(frame_set(frames), real_counts, rows)
 
-    def select(self, patients: list[Patient]) -> FrameSet:
-        """The frames of `patients`, patient by patient in the given order."""
-        rows = [row for p in patients for row in self.rows.get(p.patient_id, ())]
-        return replace(self.data, rows=np.array(rows, dtype=int))
+    def select(self, patients: list[Patient] | None = None, certain: int = 0) -> FrameSet:
+        """The frames of `patients` (by default every patient of the pool),
+        patient by patient in the given order, with at least `certain` real
+        months."""
+        if patients is None:
+            rows = np.arange(len(self.real_counts))
+        else:
+            rows = np.array([row for p in patients for row in self.rows.get(p.patient_id, ())],
+                            dtype=int)
+        return replace(self.data, rows=rows[self.real_counts[rows] >= certain])
 
 
 @dataclass
 class TrainingFrames:
-    """One parameter's frames over a patient list: the stage-1 frames at each
-    certainty threshold and the rollout frames, each stacked once."""
+    """One parameter's frames over a patient list, each kind stacked once:
+    the stage-1 frames down to one certainty threshold, and the rollout
+    frames."""
 
-    stage1: dict[int, FramePool]
+    stage1: FramePool
     stage2: FramePool
 
 
@@ -181,12 +192,9 @@ def assemble_frames(
     return stage1, stage2
 
 
-def _training_frames(cache, patients: list[Patient], certains: list[int]) -> TrainingFrames:
-    stage1 = {}
-    for certain in certains:
-        frames, rollout = assemble_frames(cache, patients, certain)
-        stage1[certain] = FramePool.of(frames)
-    return TrainingFrames(stage1, FramePool.of(rollout))
+def _training_frames(cache, patients: list[Patient], certain: int) -> TrainingFrames:
+    stage1, rollout = assemble_frames(cache, patients, certain)
+    return TrainingFrames(FramePool.of(stage1), FramePool.of(rollout))
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +203,12 @@ def _training_frames(cache, patients: list[Patient], certains: list[int]) -> Tra
 
 @dataclass
 class Fit:
-    """One model to train: its lab parameter, its configuration (a stack's
-    fits differ only in certainty threshold and seed) and its frames."""
+    """One model of a stack: its lab parameter, certainty threshold, seed and
+    frames. The stack shares the rest of one `TrainConfig`."""
 
     parameter: LabParameter
-    config: TrainConfig
+    certain: int
+    seed: int
     stage1: FrameSet
     stage2: FrameSet
 
@@ -279,20 +288,12 @@ def _lockstep(
     return trained, histories
 
 
-def _shared_config(fits: list[Fit]) -> TrainConfig:
-    """The settings of a stack: its fits may differ in certain and seed only."""
-    first = fits[0].config
-    if any(replace(fit.config, certain=first.certain, seed=first.seed) != first for fit in fits):
-        raise TrainingError("the fits of a stack differ in more than certain and seed")
-    return first
-
-
 def _require(data: FrameSet, what: str) -> None:
     if not len(data):
         raise TrainingError(f"no frames after certainty filter ({what})")
 
 
-def _scaled_init(parameter: LabParameter, config: TrainConfig, *sets: FrameSet) -> nc.GlpModel:
+def _scaled_init(fit: Fit, *sets: FrameSet) -> nc.GlpModel:
     """Random init calibrated to the training data's scale.
 
     The raw log1p channels carry a large constant offset that saturates the
@@ -308,7 +309,7 @@ def _scaled_init(parameter: LabParameter, config: TrainConfig, *sets: FrameSet) 
     their large offsets otherwise drown the transferred representations in
     demographic noise that this training budget cannot unlearn.
     """
-    model = nc.init_model(parameter, config.certain, derive_seed(config.seed, "init"))
+    model = nc.init_model(fit.parameter, fit.certain, derive_seed(fit.seed, "init"))
     x_bar = np.mean(np.concatenate([data.x[data.rows] for data in sets]), axis=(0, 1))
     t_bar = float(np.mean(np.concatenate([data.targets[data.rows] for data in sets])))
     model.libc.w_x[:, :, 0] = 0.0
@@ -326,21 +327,21 @@ def _scaled_init(parameter: LabParameter, config: TrainConfig, *sets: FrameSet) 
     return model
 
 
-def train_stage1(fits: list[Fit]) -> list[nc.GlpModel]:
+def train_stage1(fits: list[Fit], config: TrainConfig) -> list[nc.GlpModel]:
     """Supervised training of a stack on its sliding interpolated frames
     (all gaps 0)."""
     for fit in fits:
         _require(fit.stage1, "stage 1")
-    models = [_scaled_init(fit.parameter, fit.config, fit.stage1) for fit in fits]
+    models = [_scaled_init(fit, fit.stage1) for fit in fits]
     models, histories = _lockstep(
         models, [[fit.stage1] for fit in fits],
-        [rng_from(fit.config.seed, "fit") for fit in fits], _shared_config(fits))
+        [rng_from(fit.seed, "fit") for fit in fits], config)
     for model, history in zip(models, histories):
         logger.debug("stage1 %s: loss %.5f -> %.5f", model.parameter.value, history[0], history[-1])
     return models
 
 
-def train_stage2(models: list[nc.GlpModel], fits: list[Fit],
+def train_stage2(models: list[nc.GlpModel], fits: list[Fit], config: TrainConfig,
                  rng_label: str = "fit") -> list[nc.GlpModel]:
     """Rollout training of a stack, continuing from existing models."""
     for model, fit in zip(models, fits, strict=True):
@@ -349,39 +350,39 @@ def train_stage2(models: list[nc.GlpModel], fits: list[Fit],
             raise TrainingError("frame parameter does not match the model")
     models, histories = _lockstep(
         models, [[fit.stage2] for fit in fits],
-        [rng_from(fit.config.seed, rng_label) for fit in fits], _shared_config(fits))
+        [rng_from(fit.seed, rng_label) for fit in fits], config)
     for model, history in zip(models, histories):
         logger.debug("stage2 %s: loss %.5f -> %.5f", model.parameter.value, history[0], history[-1])
     return models
 
 
-def train_hybrid(fits: list[Fit]) -> list[nc.GlpModel]:
+def train_hybrid(fits: list[Fit], config: TrainConfig) -> list[nc.GlpModel]:
     """Interleaved supervised and rollout batches, one optimizer state per
     model."""
     for fit in fits:
         _require(fit.stage1, "stage 1")
-    models = [_scaled_init(fit.parameter, fit.config, fit.stage1, fit.stage2) for fit in fits]
+    models = [_scaled_init(fit, fit.stage1, fit.stage2) for fit in fits]
     models, _ = _lockstep(
         models, [[fit.stage1, fit.stage2] for fit in fits],
-        [rng_from(fit.config.seed, "fit") for fit in fits], _shared_config(fits))
+        [rng_from(fit.seed, "fit") for fit in fits], config)
     return models
 
 
-def train_by_method(fits: list[Fit]) -> list[tuple[nc.GlpModel | None, nc.GlpModel]]:
-    """Train a stack by its method; returns (stage1_model_or_None,
+def train_by_method(fits: list[Fit], config: TrainConfig
+                    ) -> list[tuple[nc.GlpModel | None, nc.GlpModel]]:
+    """Train a stack by the config's method; returns (stage1_model_or_None,
     final_model) per fit."""
-    method = _shared_config(fits).method
-    if method is TrainMethod.SUPERVISED_ONLY:
-        return [(model, model) for model in train_stage1(fits)]
-    if method is TrainMethod.HYBRID:
-        return [(None, model) for model in train_hybrid(fits)]
-    if method is TrainMethod.SSL_ONLY:
+    if config.method is TrainMethod.SUPERVISED_ONLY:
+        return [(model, model) for model in train_stage1(fits, config)]
+    if config.method is TrainMethod.HYBRID:
+        return [(None, model) for model in train_hybrid(fits, config)]
+    if config.method is TrainMethod.SSL_ONLY:
         for fit in fits:
             _require(fit.stage2, "stage 2")
-        inits = [_scaled_init(fit.parameter, fit.config, fit.stage2) for fit in fits]
-        return [(None, model) for model in train_stage2(inits, fits)]
-    intermediates = train_stage1(fits)
-    return list(zip(intermediates, train_stage2(intermediates, fits, "fit-stage2")))
+        inits = [_scaled_init(fit, fit.stage2) for fit in fits]
+        return [(None, model) for model in train_stage2(inits, fits, config)]
+    intermediates = train_stage1(fits, config)
+    return list(zip(intermediates, train_stage2(intermediates, fits, config, "fit-stage2")))
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +499,6 @@ def _half_width(values: list[float]) -> float:
     return float(t_ppf975(arr.size - 1) * arr.std(ddof=1) / np.sqrt(arr.size))
 
 
-def _job_config(config: TrainConfig, parameter: LabParameter, certain: int, fold: int) -> TrainConfig:
-    return replace(
-        config,
-        certain=certain,
-        seed=derive_seed(config.seed, parameter.value, "certain", certain, "fold", fold),
-    )
-
-
 def _in_stacks(fn, fits: list[Fit], jobs: int) -> list:
     """fn over the fits as one stack, or as `jobs` stacks of consecutive fits,
     one per worker process; results in fit order."""
@@ -517,20 +510,21 @@ def _in_stacks(fn, fits: list[Fit], jobs: int) -> list:
         return [result for part in pool.map(fn, chunks) for result in part]
 
 
-def _score_stack(test_frames: dict[LabParameter, list[Frame]], fits: list[Fit]):
+def _score_stack(config: TrainConfig, test_frames: dict[LabParameter, list[Frame]],
+                 fits: list[Fit]):
     """Train a stack and score each fit on its parameter's held-out frames:
     (final R^2, supervised-intermediate R^2 or None) per fit."""
     scores = []
-    for fit, (intermediate, final) in zip(fits, train_by_method(fits)):
+    for fit, (intermediate, final) in zip(fits, train_by_method(fits, config)):
         held_out = test_frames[fit.parameter]
         stage1_r2 = (evaluate_r2(intermediate, held_out)
-                     if fit.config.method is TrainMethod.TWO_STAGE else None)
+                     if config.method is TrainMethod.TWO_STAGE else None)
         scores.append((evaluate_r2(final, held_out), stage1_r2))
     return scores
 
 
-def _final_stack(fits: list[Fit]) -> list[nc.GlpModel]:
-    return [final for _, final in train_by_method(fits)]
+def _final_stack(config: TrainConfig, fits: list[Fit]) -> list[nc.GlpModel]:
+    return [final for _, final in train_by_method(fits, config)]
 
 
 def _grid_row(certain: int, fold_r2: list[float], stage1_r2: list[float] | None) -> GridRow:
@@ -561,13 +555,13 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
         if len(test_frames[parameter]) < 2:
             raise ConfigError("test split yields fewer than 2 rollout frames")
         pools = frames[parameter] = _training_frames(
-            build_frame_cache(train, parameter, config.interp), train, certains)
+            build_frame_cache(train, parameter, config.interp), train, min(certains))
         for certain in certains:
             for k, members in enumerate(fit_patients):
-                fits.append(Fit(
-                    parameter, _job_config(config, parameter, certain, k),
-                    pools.stage1[certain].select(members), pools.stage2.select(members)))
-    scores = iter(_in_stacks(partial(_score_stack, test_frames), fits, jobs))
+                seed = derive_seed(config.seed, parameter.value, "certain", certain, "fold", k)
+                fits.append(Fit(parameter, certain, seed, pools.stage1.select(members, certain),
+                                pools.stage2.select(members)))
+    scores = iter(_in_stacks(partial(_score_stack, config, test_frames), fits, jobs))
 
     report = PretrainReport(
         config_echo=_config_echo(config), seed=config.seed,
@@ -606,23 +600,21 @@ def sweep_certain(patients: list[Patient], config: TrainConfig, jobs: int = 1) -
     return _pretrain(patients, config, list(range(6)), jobs)
 
 
-def train_final_models(
-    patients: list[Patient], config: TrainConfig, chosen: dict[str, int], jobs: int = 1,
-    frames: dict[LabParameter, TrainingFrames] | None = None,
-) -> dict[LabParameter, nc.GlpModel]:
-    """Train one deployable model per parameter on the full training split,
-    the six as one stack. `frames` are the training split's frames a
-    `PretrainReport` of the same patients and config holds; without them
-    they are built here."""
-    train, _ = split_cohort(patients, config.split_ratio, config.seed)
+def train_final_models(report: PretrainReport, config: TrainConfig,
+                       jobs: int = 1) -> dict[LabParameter, nc.GlpModel]:
+    """Train one deployable model per parameter on the report's whole
+    training split at the parameter's chosen threshold, the six as one
+    stack, from the frames the report's cross-validation stacked. `config`
+    must be the one the report was made with."""
+    if report.config_echo != _config_echo(config) or report.seed != config.seed:
+        raise ConfigError("the pretrain report was made with another config")
     fits = []
     for parameter in config.parameters:
-        certain = chosen[parameter.value]
-        pools = (frames or {}).get(parameter) or _training_frames(
-            build_frame_cache(train, parameter, config.interp), train, [certain])
-        job = replace(config, certain=certain, seed=derive_seed(config.seed, parameter.value, "final"))
-        fits.append(Fit(parameter, job, pools.stage1[certain].data, pools.stage2.data))
-    return dict(zip(config.parameters, _in_stacks(_final_stack, fits, jobs)))
+        certain = report.parameters[parameter.value].chosen_certain
+        pools = report.frames[parameter]
+        fits.append(Fit(parameter, certain, derive_seed(config.seed, parameter.value, "final"),
+                        pools.stage1.select(certain=certain), pools.stage2.select()))
+    return dict(zip(config.parameters, _in_stacks(partial(_final_stack, config), fits, jobs)))
 
 
 # ---------------------------------------------------------------------------

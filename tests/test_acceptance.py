@@ -67,15 +67,17 @@ def pretext_cohort():
 
 @pytest.fixture(scope="module")
 def frozen_models(pretext_cohort):
+    config = TrainConfig(certain=3)
     fits = []
     started = time.perf_counter()
     for parameter in PARAMETER_ORDER:
-        config = TrainConfig(certain=3, seed=derive_seed(7, parameter.value, "final"))
-        train, _ = split_cohort(pretext_cohort, config.split_ratio, config.seed)
+        seed = derive_seed(7, parameter.value, "final")
+        train, _ = split_cohort(pretext_cohort, config.split_ratio, seed)
         cache = build_frame_cache(train, parameter, config.interp)
         stage1, stage2 = assemble_frames(cache, train, config.certain)
-        fits.append(Fit(parameter, config, frame_set(stage1), frame_set(stage2)))
-    models = {fit.parameter: final for fit, (_, final) in zip(fits, train_by_method(fits))}
+        fits.append(Fit(parameter, config.certain, seed, frame_set(stage1), frame_set(stage2)))
+    trained = train_by_method(fits, config)
+    models = {fit.parameter: final for fit, (_, final) in zip(fits, trained)}
     sys.__stdout__.write(
         f"\n[acceptance] (six transfer models pretrained in {time.perf_counter()-started:.0f}s)\n"
     )

@@ -9,6 +9,7 @@ from glp.errors import ConfigError, EvaluationError, TrainingError
 from glp.interp import InterpMethod
 from glp.pipeline import (
     Fit,
+    FramePool,
     TrainConfig,
     TrainMethod,
     _lockstep,
@@ -22,7 +23,9 @@ from glp.pipeline import (
     make_folds,
     report_to_dict,
     split_cohort,
+    sweep_certain,
     train_by_method,
+    train_final_models,
     train_hybrid,
     train_stage1,
     train_stage2,
@@ -33,12 +36,12 @@ from helpers import views_alias_vector
 QUICK = TrainConfig(epochs=4, seed=5)
 
 
-def fit_of(stage1, stage2=(), config=QUICK, parameter=LabParameter.WBC):
-    return Fit(parameter, config, frame_set(list(stage1)), frame_set(list(stage2)))
+def fit_of(stage1, stage2=(), seed=QUICK.seed, parameter=LabParameter.WBC):
+    return Fit(parameter, 0, seed, frame_set(list(stage1)), frame_set(list(stage2)))
 
 
 def stage1_model(frames, config=QUICK):
-    return train_stage1([fit_of(frames, config=config)])[0]
+    return train_stage1([fit_of(frames, seed=config.seed)], config)[0]
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +57,14 @@ def frames(small_cohort):
 
 def test_train_stage1_requires_frames():
     with pytest.raises(TrainingError, match="certainty filter"):
-        train_stage1([fit_of([])])
+        train_stage1([fit_of([])], QUICK)
 
 
 def test_stage2_rejects_parameter_mismatch(frames):
     s1, s2 = frames
     model = nc.init_model(LabParameter.UA, 0, 1)
     with pytest.raises(TrainingError, match="does not match"):
-        train_stage2([model], [fit_of([], s2)])
+        train_stage2([model], [fit_of([], s2)], QUICK)
 
 
 def test_training_determinism(frames):
@@ -76,12 +79,12 @@ def test_stage2_with_zero_gaps_equals_stage1(frames):
     subset = s1[:60]
     config = QUICK
     supervised = stage1_model(subset, config)
-    start = _scaled_init(LabParameter.WBC, config, frame_set(subset))
-    [via_stage2] = train_stage2([start], [fit_of([], subset, config)])
+    fit = fit_of([], subset)
+    [via_stage2] = train_stage2([_scaled_init(fit, fit.stage2)], [fit], config)
     assert np.array_equal(supervised.vector, via_stage2.vector)
     # identical per-batch loss sequences as well
-    start1 = _scaled_init(LabParameter.WBC, config, frame_set(subset))
-    start2 = _scaled_init(LabParameter.WBC, config, frame_set(subset))
+    start1 = _scaled_init(fit, fit.stage2)
+    start2 = _scaled_init(fit, fit.stage2)
     _, [h1] = _lockstep([start1], [[frame_set(subset)]], [rng_from(config.seed, "fit")], config)
     _, [h2] = _lockstep([start2], [[frame_set(subset)]], [rng_from(config.seed, "fit")], config)
     assert h1 == h2
@@ -90,12 +93,12 @@ def test_stage2_with_zero_gaps_equals_stage1(frames):
 def test_hybrid_without_stage2_equals_supervised(frames):
     s1, _ = frames
     subset = s1[:60]
-    assert np.array_equal(train_hybrid([fit_of(subset)])[0].vector, stage1_model(subset).vector)
+    assert np.array_equal(train_hybrid([fit_of(subset)], QUICK)[0].vector, stage1_model(subset).vector)
 
 
 def test_hybrid_runs_with_both_sets(frames):
     s1, s2 = frames
-    [model] = train_hybrid([fit_of(s1[:40], s2[:10])])
+    [model] = train_hybrid([fit_of(s1[:40], s2[:10])], QUICK)
     assert model.parameter is LabParameter.WBC
 
 
@@ -103,7 +106,7 @@ def test_all_methods_complete(frames):
     s1, s2 = frames
     for method in TrainMethod:
         config = dataclasses.replace(QUICK, method=method)
-        [(_, model)] = train_by_method([fit_of(s1[:40], s2[:12], config)])
+        [(_, model)] = train_by_method([fit_of(s1[:40], s2[:12])], config)
         assert np.all(np.isfinite(model.vector))
 
 
@@ -112,9 +115,9 @@ def test_loss_decreases_on_planted_data(frames):
     config = dataclasses.replace(QUICK, epochs=12)
     drops = []
     for seed in range(5):
-        cfg = dataclasses.replace(config, seed=seed)
-        start = _scaled_init(LabParameter.WBC, cfg, frame_set(s1))
-        _, [history] = _lockstep([start], [[frame_set(s1)]], [rng_from(seed, "fit")], cfg)
+        fit = fit_of(s1, seed=seed)
+        start = _scaled_init(fit, fit.stage1)
+        _, [history] = _lockstep([start], [[fit.stage1]], [rng_from(seed, "fit")], config)
         first = np.mean(history[: len(history) // 12])
         last = np.mean(history[-len(history) // 12 :])
         drops.append(last - first)
@@ -238,8 +241,6 @@ def test_config_validation():
 
 
 def test_sweep_certain_grid(small_cohort):
-    from glp.pipeline import sweep_certain
-
     config = TrainConfig(
         epochs=2, seed=4, folds=2, parameters=(LabParameter.WBC,), method=TrainMethod.SSL_ONLY
     )
@@ -261,8 +262,6 @@ def test_sweep_certain_grid(small_cohort):
 
 
 def test_sweep_certain_filter_changes_supervised(small_cohort):
-    from glp.pipeline import sweep_certain
-
     config = TrainConfig(
         epochs=2, seed=4, folds=2, parameters=(LabParameter.WBC,),
         method=TrainMethod.SUPERVISED_ONLY,
@@ -284,23 +283,17 @@ def test_parallel_jobs_match_sequential(small_cohort):
 
 def test_scaled_init_views_alias_the_vector(frames):
     s1, _ = frames
-    assert views_alias_vector(_scaled_init(LabParameter.WBC, QUICK, frame_set(s1[:20])))
+    fit = fit_of(s1[:20])
+    assert views_alias_vector(_scaled_init(fit, fit.stage1))
 
 
 def test_final_models_from_workers_match_and_keep_views(small_cohort):
-    from glp.pipeline import train_final_models
-
     config = TrainConfig(epochs=2, seed=8, folds=2, parameters=(LabParameter.WBC, LabParameter.UA))
     report = cross_validate(small_cohort, config, jobs=1)
     assert report_to_dict(cross_validate(small_cohort, config, jobs=2)) == report_to_dict(report)
-    chosen = {"WBC": 2, "UA": 0}
-    sequential = train_final_models(small_cohort, config, chosen, jobs=1)
-    parallel = train_final_models(small_cohort, config, chosen, jobs=2)
-    chosen = {name: result.chosen_certain for name, result in report.parameters.items()}
-    reused = train_final_models(small_cohort, config, chosen, frames=report.frames)
-    rebuilt = train_final_models(small_cohort, config, chosen)
+    sequential = train_final_models(report, config, jobs=1)
+    parallel = train_final_models(report, config, jobs=2)
     for parameter, model in parallel.items():
-        assert np.array_equal(reused[parameter].vector, rebuilt[parameter].vector)
         assert np.array_equal(model.vector, sequential[parameter].vector)
         assert views_alias_vector(model)
         model.regressor.b3[0] += 1.0  # a write through a view reaches the vector
@@ -318,7 +311,7 @@ def test_lockstep_stack_matches_solo_fits(small_cohort):
     config = TrainConfig(epochs=2, batch_size=4, method=TrainMethod.HYBRID)
     gap2 = {parameter: [f for f in s2 if f.gap == 2][:2] for parameter, (_, s2) in frames.items()}
     fits = [
-        fit_of(s1[:n1], s2[:n2], dataclasses.replace(config, seed=seed), parameter)
+        fit_of(s1[:n1], s2[:n2], seed, parameter)
         for seed, parameter, n1, n2 in [
             (0, LabParameter.WBC, 40, 20), (1, LabParameter.GLUCOSE_AC, 25, 20),
             (2, LabParameter.WBC, 9, 3), (3, LabParameter.GLUCOSE_AC, 60, 7),
@@ -328,35 +321,61 @@ def test_lockstep_stack_matches_solo_fits(small_cohort):
     ]
     # equal seeds and sizes: these two meet at gap 2 at the same steps and must
     # still run apart, each rollout re-encoded for its own parameter
-    fits += [fit_of(frames[parameter][0][:30], gap2[parameter],
-                    dataclasses.replace(config, seed=5), parameter) for parameter in gap2]
+    fits += [fit_of(frames[parameter][0][:30], gap2[parameter], 5, parameter)
+             for parameter in gap2]
     assert len({g for fit in fits for g in fit.stage2.gaps[fit.stage2.rows]}) > 2
-    models = [_scaled_init(fit.parameter, fit.config, fit.stage1, fit.stage2) for fit in fits]
+    models = [_scaled_init(fit, fit.stage1, fit.stage2) for fit in fits]
     sources = [[fit.stage1, fit.stage2] for fit in fits]
-    rngs = lambda: [rng_from(fit.config.seed, "fit") for fit in fits]  # noqa: E731
+    rngs = lambda: [rng_from(fit.seed, "fit") for fit in fits]  # noqa: E731
     stacked, histories = _lockstep(models, sources, rngs(), config)
     assert len({len(h) for h in histories}) > 2
     for m, rng in enumerate(rngs()):
         [solo], [history] = _lockstep([models[m]], [sources[m]], [rng], config)
         assert np.array_equal(stacked[m].vector, solo.vector)
         assert history == histories[m]
-    two_stage = []
-    for fit in fits[:4]:
-        method = dataclasses.replace(fit.config, method=TrainMethod.TWO_STAGE)
-        two_stage.append(dataclasses.replace(fit, config=method))
-    together = train_by_method(two_stage)
-    for fit, (intermediate, final) in zip(two_stage, together):
-        [(alone_intermediate, alone_final)] = train_by_method([fit])
+    two_stage = dataclasses.replace(config, method=TrainMethod.TWO_STAGE)
+    together = train_by_method(fits[:4], two_stage)
+    for fit, (intermediate, final) in zip(fits, together):
+        [(alone_intermediate, alone_final)] = train_by_method([fit], two_stage)
         assert np.array_equal(intermediate.vector, alone_intermediate.vector)
         assert np.array_equal(final.vector, alone_final.vector)
 
 
-def test_train_final_models_respects_chosen(small_cohort):
-    from glp.pipeline import train_final_models
+def test_frame_pool_rows_match_assembled_frames(small_cohort):
+    """One pool stacked at threshold 0 gives, for any patients and threshold,
+    the frames assemble_frames keeps, in its order."""
+    cache = build_frame_cache(small_cohort, LabParameter.WBC, InterpMethod.LINEAR)
+    stage1, stage2 = assemble_frames(cache, small_cohort, certain=0)
+    pools = FramePool.of(stage1), FramePool.of(stage2)
+    members = small_cohort[::-2]
+    for certain in range(6):
+        # the threshold filters first-stage frames only, as in assemble_frames
+        picks = pools[0].select(members, certain), pools[1].select(members)
+        for picked, kept in zip(picks, assemble_frames(cache, members, certain)):
+            expected = frame_set(kept)
+            assert np.array_equal(picked.x[picked.rows], expected.x)
+            assert np.array_equal(picked.targets[picked.rows], expected.targets)
+            assert np.array_equal(picked.gaps[picked.rows], expected.gaps)
+    assert len(pools[0].select(certain=5)) < len(pools[0].select()) == len(stage1)
 
-    config = TrainConfig(epochs=2, seed=8, parameters=(LabParameter.WBC, LabParameter.UA))
-    chosen = {"WBC": 2, "UA": 0}
-    models = train_final_models(small_cohort, config, chosen)
-    assert models[LabParameter.WBC].certain == 2
-    assert models[LabParameter.UA].certain == 0
-    assert models[LabParameter.WBC].parameter is LabParameter.WBC
+
+def test_train_final_models_respects_chosen(small_cohort):
+    config = TrainConfig(epochs=2, seed=8, folds=2, parameters=(LabParameter.WBC, LabParameter.UA))
+    report = sweep_certain(small_cohort, config)
+    chosen = {LabParameter.WBC: 2, LabParameter.UA: 0}
+    for parameter, certain in chosen.items():
+        report.parameters[parameter.value].chosen_certain = certain
+    models = train_final_models(report, config)
+    train, _ = split_cohort(small_cohort, config.split_ratio, config.seed)
+    for parameter, certain in chosen.items():
+        assert models[parameter].parameter is parameter
+        assert models[parameter].certain == certain
+        # trained on exactly the training split's frames at the chosen threshold
+        cache = build_frame_cache(train, parameter, config.interp)
+        s1, s2 = assemble_frames(cache, train, certain)
+        alone = Fit(parameter, certain, derive_seed(config.seed, parameter.value, "final"),
+                    frame_set(s1), frame_set(s2))
+        [(_, final)] = train_by_method([alone], config)
+        assert np.array_equal(models[parameter].vector, final.vector)
+    with pytest.raises(ConfigError, match="another config"):
+        train_final_models(report, dataclasses.replace(config, epochs=3))
