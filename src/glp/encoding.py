@@ -56,33 +56,36 @@ def discrete_codes(parameter: LabParameter, values: np.ndarray) -> np.ndarray:
 def encode_frame(
     patient_id: str,
     parameter: LabParameter,
-    age_years: float,
+    age_years,
     gender: Gender,
     values,
     flags,
 ) -> np.ndarray:
-    """Assemble the (12, 5) input matrix for one frame.
+    """Assemble the (..., 12, 5) input matrices of one or more windows.
 
-    `age_years` is the patient's age at the window start and is constant down
-    the rows. `values` are native-unit lab values for the 12 window months,
-    `flags` their real/estimated markers.
+    `values` are native-unit lab values of each window's 12 months, shape
+    (12,) for one window or (k, 12) for k, and `flags` their real/estimated
+    markers. `age_years` is the patient's age at each window start, a scalar
+    for one window or one per window, constant down the window's rows.
     """
     values = np.asarray(values, dtype=float)
     flags = np.asarray(flags, dtype=float)
-    if values.shape != (FRAME_WIDTH,) or flags.shape != (FRAME_WIDTH,):
+    if values.shape[-1:] != (FRAME_WIDTH,) or flags.shape != values.shape:
         raise EncodingError(
             f"frame for {patient_id}/{parameter.value} needs {FRAME_WIDTH} months, "
-            f"got {values.shape[0]}"
+            f"got shape {values.shape}"
         )
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argwhere(~finite)[0, -1])
         raise EncodingError(
             f"non-finite value for {patient_id}/{parameter.value} at window month {bad}"
         )
-    frame = np.empty((FRAME_WIDTH, 5), dtype=float)
-    frame[:, 0] = normalize(age_years)
-    frame[:, 1] = 1.0 if gender is Gender.MALE else 0.0
-    frame[:, 2] = flags
-    frame[:, 3] = discrete_codes(parameter, values)
-    frame[:, 4] = np.log1p(values)
+    frame = np.empty(values.shape + (5,), dtype=float)
+    ages = [normalize(age) for age in np.array(age_years, dtype=float, ndmin=1).tolist()]
+    frame[..., 0] = np.array(ages).reshape(values.shape[:-1] + (1,))
+    frame[..., 1] = 1.0 if gender is Gender.MALE else 0.0
+    frame[..., 2] = flags
+    frame[..., 3] = discrete_codes(parameter, values)
+    frame[..., 4] = np.log1p(values)
     return frame

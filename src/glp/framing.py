@@ -27,6 +27,7 @@ from .encoding import FRAME_WIDTH, encode_frame, normalize
 
 FRAME_SPAN = FRAME_WIDTH + 1  # inclusive month span covered by one frame
 MAX_GAP = FRAME_WIDTH // 2
+_SPAN = np.arange(FRAME_SPAN)
 
 
 @dataclass
@@ -40,34 +41,15 @@ class Frame:
     window_start: int
 
 
-def _dense_lookup(series: LabSeries) -> dict[int, tuple[float, bool]]:
-    return {o.month: (o.value, o.is_real) for o in series.observations}
-
-
-def _make_frame(
-    series: LabSeries,
-    lookup: dict[int, tuple[float, bool]],
-    age_at_start: float,
-    gender: Gender,
-    start: int,
-    target_month: int,
-    gap: int,
-) -> Frame:
-    window = range(start, start + FRAME_WIDTH)
-    values = [lookup[month][0] for month in window]
-    flags = [1.0 if lookup[month][1] else 0.0 for month in window]
-    real_count = sum(lookup[month][1] for month in range(start, start + FRAME_SPAN))
-    age = age_at_start + start / 12.0
-    matrix = encode_frame(series.patient_id, series.parameter, age, gender, values, flags)
-    return Frame(
-        patient_id=series.patient_id,
-        parameter=series.parameter,
-        input=matrix,
-        target=normalize(lookup[target_month][0]),
-        gap=gap,
-        real_count=real_count,
-        window_start=start,
-    )
+def _interpolated_zone(series: LabSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Values and real flags of the interpolated zone `observations[:-1]`,
+    month first..m, one entry per month."""
+    zone = series.observations[:-1]
+    if zone[-1].month - zone[0].month != len(zone) - 1:
+        raise ValueError(
+            f"{series.patient_id}/{series.parameter.value}: series must be interpolated first"
+        )
+    return np.array([o.value for o in zone]), np.array([o.is_real for o in zone])
 
 
 def build_stage1_frames(
@@ -76,19 +58,29 @@ def build_stage1_frames(
     """All sliding supervised frames of an interpolated series.
 
     `certain` in [0, 5] is the minimum number of real observations a frame's
-    span must contain. Short series yield an empty list.
+    span must contain. Short series yield an empty list. The frames' inputs
+    are views of one block, encoded by one `encode_frame` call.
     """
     real = series.real_months()
     if len(real) < 3:
         return []
-    lookup = _dense_lookup(series)
     first, m = real[0], real[-2]
-    frames = []
-    for start in range(first, m - FRAME_WIDTH):
-        frame = _make_frame(series, lookup, age_at_start, gender, start, start + FRAME_SPAN, 0)
-        if frame.real_count >= certain:
-            frames.append(frame)
-    return frames
+    count = m - FRAME_WIDTH - first
+    if count <= 0:
+        return []
+    values, flags = _interpolated_zone(series)
+    spans = np.arange(count)[:, None] + _SPAN  # zone offsets of each frame's 13 months
+    real_spans = flags[spans]
+    starts = np.arange(first, first + count)
+    block = encode_frame(series.patient_id, series.parameter, age_at_start + starts / 12.0,
+                         gender, values[spans[:, :FRAME_WIDTH]], real_spans[:, :FRAME_WIDTH])
+    targets = [normalize(v) for v in values[FRAME_SPAN : FRAME_SPAN + count].tolist()]
+    return [
+        Frame(series.patient_id, series.parameter, block[row], target, 0, real_count, start)
+        for row, (start, target, real_count) in enumerate(
+            zip(starts.tolist(), targets, real_spans.sum(axis=1).tolist()))
+        if real_count >= certain
+    ]
 
 
 def build_stage2_frame(series: LabSeries, age_at_start: float, gender: Gender) -> Frame | None:
@@ -96,7 +88,6 @@ def build_stage2_frame(series: LabSeries, age_at_start: float, gender: Gender) -
     real = series.real_months()
     if len(real) < 2:
         return None
-    lookup = _dense_lookup(series)
     first, m, n = real[0], real[-2], real[-1]
     start = m - FRAME_WIDTH
     if start < first:
@@ -104,9 +95,11 @@ def build_stage2_frame(series: LabSeries, age_at_start: float, gender: Gender) -
     gap = n - m - 1
     if gap > MAX_GAP:
         return None
-    # the input months [m-12, m-1] all lie in the interpolated zone
-    if any(month not in lookup for month in range(start, m)):
-        raise ValueError(
-            f"{series.patient_id}/{series.parameter.value}: series must be interpolated first"
-        )
-    return _make_frame(series, lookup, age_at_start, gender, start, n, gap)
+    values, flags = _interpolated_zone(series)
+    # the span [m-12, m] is the last 13 months of the zone
+    window = slice(start - first, m - first)
+    matrix = encode_frame(series.patient_id, series.parameter, age_at_start + start / 12.0,
+                          gender, values[window], flags[window])
+    return Frame(series.patient_id, series.parameter, matrix,
+                 normalize(series.observations[-1].value), gap,
+                 int(flags[start - first :].sum()), start)

@@ -200,6 +200,10 @@ def _training_frames(cache, patients: list[Patient], certain: int) -> TrainingFr
 # ---------------------------------------------------------------------------
 # lockstep fitting
 
+# The most models one stacked step trains; a wider group steps in consecutive
+# chunks, which bounds the step's temporaries (every member's encoder trace).
+_MAX_STACK = 36
+
 
 @dataclass
 class Fit:
@@ -253,10 +257,10 @@ def _lockstep(
     Model i takes the batches of `sources[i]` drawn from `rngs[i]`, exactly
     its solo schedule. At each step the models still training are grouped by
     batch length and gap, and by parameter when gap > 0 (the rollout
-    re-encodes per parameter); each group takes one stacked loss-and-gradient
-    call and one stacked Adam update. A model whose schedule has ended leaves
-    the groups: nothing is padded or masked, so every model's arithmetic is
-    that of its solo fit.
+    re-encodes per parameter); each group, in chunks of at most `_MAX_STACK`
+    models, takes one stacked loss-and-gradient call and one stacked Adam
+    update. A model whose schedule has ended leaves the groups: nothing is
+    padded or masked, so every model's arithmetic is that of its solo fit.
     """
     vectors = np.stack([model.vector for model in models])
     adam = nc.AdamState.create(vectors.shape, config.learning_rate)
@@ -272,17 +276,19 @@ def _lockstep(
             data, rows, gap = batch
             key = (len(rows), gap, models[i].parameter if gap else None)
             groups.setdefault(key, []).append((i, data, rows))
-        for (_, gap, _), members in groups.items():
-            idx = np.array([i for i, _, _ in members])
-            stack = nc.GlpModel(models[idx[0]].parameter, 0, vectors[idx])
-            x0 = np.stack([data.x[rows] for _, data, rows in members])
-            targets = np.stack([data.targets[rows] for _, data, rows in members])
-            losses, grads = nc.rollout_loss_and_grads(stack, x0, targets, gap)
-            state = nc.AdamState(adam.m[idx], adam.v[idx], adam.step[idx], adam.learning_rate)
-            vectors[idx], state = nc.adam_step(stack.vector, grads, state)
-            adam.m[idx], adam.v[idx], adam.step[idx] = state.m, state.v, state.step
-            for i, loss in zip(idx, losses):
-                histories[i].append(float(loss))
+        for (_, gap, _), group in groups.items():
+            for start in range(0, len(group), _MAX_STACK):
+                members = group[start : start + _MAX_STACK]
+                idx = np.array([i for i, _, _ in members])
+                stack = nc.GlpModel(models[idx[0]].parameter, 0, vectors[idx])
+                x0 = np.stack([data.x[rows] for _, data, rows in members])
+                targets = np.stack([data.targets[rows] for _, data, rows in members])
+                losses, grads = nc.rollout_loss_and_grads(stack, x0, targets, gap)
+                state = nc.AdamState(adam.m[idx], adam.v[idx], adam.step[idx], adam.learning_rate)
+                vectors[idx], state = nc.adam_step(stack.vector, grads, state)
+                adam.m[idx], adam.v[idx], adam.step[idx] = state.m, state.v, state.step
+                for i, loss in zip(idx, losses):
+                    histories[i].append(float(loss))
     trained = [nc.vector_to_model(vector, model.parameter, model.certain)
                for vector, model in zip(vectors, models)]
     return trained, histories

@@ -22,7 +22,6 @@ class TTestResult:
     t: float
     df: float
     p: float
-    variant: str
 
 
 def r_squared(predictions, targets) -> float:
@@ -128,37 +127,21 @@ def t_ppf975(df: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def t_test(a, b, variant: str = "pooled") -> TTestResult:
-    """Two-sample two-sided t-test; pooled-variance by default, Welch optional."""
+def t_test(a, b) -> TTestResult:
+    """Two-sample two-sided t-test with pooled variance."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise EvaluationError("t_test needs >= 2 samples per group")
-    if variant not in ("pooled", "welch"):
-        raise EvaluationError(f"unknown t_test variant {variant!r}")
     na, nb = a.size, b.size
     mean_diff = float(a.mean() - b.mean())
-    var_a = float(a.var(ddof=1))
-    var_b = float(b.var(ddof=1))
-
-    if variant == "pooled":
-        df = float(na + nb - 2)
-        pooled = ((na - 1) * var_a + (nb - 1) * var_b) / df
-        scale = pooled * (1.0 / na + 1.0 / nb)
-    else:
-        sa, sb = var_a / na, var_b / nb
-        scale = sa + sb
-        if scale == 0.0:
-            df = float(na + nb - 2)
-        else:
-            df = scale * scale / (
-                (sa * sa) / (na - 1) + (sb * sb) / (nb - 1)
-            )
-
+    df = float(na + nb - 2)
+    pooled = ((na - 1) * float(a.var(ddof=1)) + (nb - 1) * float(b.var(ddof=1))) / df
+    scale = pooled * (1.0 / na + 1.0 / nb)
     if scale == 0.0:
         if mean_diff == 0.0:
-            return TTestResult(0.0, df, 1.0, variant)
+            return TTestResult(0.0, df, 1.0)
         t = math.copysign(math.inf, mean_diff)
-        return TTestResult(t, df, _P_FLOOR, variant)
+        return TTestResult(t, df, _P_FLOOR)
     t = mean_diff / math.sqrt(scale)
-    return TTestResult(t, df, t_sf_two_sided(t, df), variant)
+    return TTestResult(t, df, t_sf_two_sided(t, df))

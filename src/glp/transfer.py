@@ -301,7 +301,7 @@ def run_downstream_study(
             result = t_test(rep_means[(rep_a, metric)], rep_means[(rep_b, metric)])
             report.significance.append(
                 {"metric": metric, "a": rep_a, "b": rep_b,
-                 "t": result.t, "df": result.df, "p": result.p, "variant": result.variant}
+                 "t": result.t, "df": result.df, "p": result.p, "variant": "pooled"}
             )
 
     checksums_after = {p.value: nc.model_checksum(models[p]) for p in PARAMETER_ORDER}

@@ -94,3 +94,27 @@ def test_encode_frame_rejects_nonfinite():
 def test_encode_frame_rejects_wrong_width():
     with pytest.raises(EncodingError):
         encode_frame("P1", LabParameter.UA, 50.0, Gender.MALE, [5.0] * 11, [1.0] * 11)
+
+
+def test_block_encode_matches_single_windows():
+    """A (k, 12) block is k single-window encodes, bit for bit. Age 40.5 is
+    one where numpy's log1p and math.log1p differ on a SIMD build, so the age
+    channel must stay on `normalize`."""
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.5, 300.0, (5, 12))
+    flags = rng.integers(0, 2, (5, 12)).astype(float)
+    ages = [40.5, 61.0 + 1 / 12.0, 18.25, 40.5, 99.75]
+    block = encode_frame("P3", LabParameter.UA, ages, Gender.FEMALE, values, flags)
+    assert block.shape == (5, 12, 5)
+    for row, age in enumerate(ages):
+        single = encode_frame("P3", LabParameter.UA, age, Gender.FEMALE, values[row], flags[row])
+        assert block[row].tobytes() == single.tobytes()
+    assert np.all(block[0, :, 0] == math.log1p(40.5))
+
+
+def test_block_encode_names_the_window_month_of_a_nonfinite_value():
+    values = np.full((4, 12), 90.0)
+    values[2, 7] = float("inf")
+    with pytest.raises(EncodingError, match="P9.*GLUCOSE_AC.*window month 7"):
+        encode_frame("P9", LabParameter.GLUCOSE_AC, [50.0] * 4, Gender.MALE, values,
+                     np.ones((4, 12)))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from glp.cohort import Gender, LabParameter, LabSeries, Observation
-from glp.encoding import normalize
-from glp.framing import FRAME_SPAN, build_stage1_frames, build_stage2_frame
+from glp.encoding import encode_frame, normalize
+from glp.framing import FRAME_SPAN, MAX_GAP, build_stage1_frames, build_stage2_frame
 from glp.interp import InterpMethod, interpolate_series
 
 
@@ -133,3 +133,94 @@ def test_frame_matrix_contents():
     for row, month in enumerate(range(1, 13)):
         assert frame.input[row, 4] == pytest.approx(math.log1p(lookup[month][0]))
         assert frame.input[row, 2] == (1.0 if lookup[month][1] else 0.0)
+
+
+def _per_frame_stage1(series, age, gender, certain):
+    """Stage-1 frames built one at a time: a month lookup and a single-window
+    `encode_frame` per frame, every target normalized before the filter."""
+    lookup = {o.month: (o.value, o.is_real) for o in series.observations}
+    real = series.real_months()
+    if len(real) < 3:
+        return []
+    first, m = real[0], real[-2]
+    frames = []
+    for start in range(first, m - 12):
+        window = range(start, start + 12)
+        matrix = encode_frame(series.patient_id, series.parameter, age + start / 12.0, gender,
+                              [lookup[t][0] for t in window], [float(lookup[t][1]) for t in window])
+        target = normalize(lookup[start + 13][0])
+        real_count = sum(lookup[t][1] for t in range(start, start + 13))
+        if real_count >= certain:
+            frames.append((matrix.tobytes(), target, 0, real_count, start))
+    return frames
+
+
+def _per_frame_stage2(series, age, gender):
+    lookup = {o.month: (o.value, o.is_real) for o in series.observations}
+    real = series.real_months()
+    if len(real) < 2:
+        return None
+    first, m, n = real[0], real[-2], real[-1]
+    start = m - 12
+    if start < first or n - m - 1 > MAX_GAP:
+        return None
+    window = range(start, m)
+    matrix = encode_frame(series.patient_id, series.parameter, age + start / 12.0, gender,
+                          [lookup[t][0] for t in window], [float(lookup[t][1]) for t in window])
+    real_count = sum(lookup[t][1] for t in range(start, m + 1))
+    return matrix.tobytes(), normalize(lookup[n][0]), n - m - 1, real_count, start
+
+
+def _as_tuple(frame):
+    return frame.input.tobytes(), frame.target, frame.gap, frame.real_count, frame.window_start
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:  # the block path must raise what the per-frame path raises
+        return type(exc)
+
+
+@pytest.mark.parametrize("method", list(InterpMethod))
+def test_frames_match_per_frame_construction_bit_for_bit(method):
+    """Block framing equals the per-frame construction in input bytes, target,
+    gap, real count and start; a series that raises raises the same type."""
+    rng = np.random.default_rng(2024)
+    raised = 0
+    for k in range(200):
+        n = int(rng.integers(3, 14))
+        months = np.unique(rng.integers(0, 60, n)).tolist()
+        if len(months) < 3:
+            continue
+        values = rng.uniform(1.0, 150.0, len(months)).tolist()
+        obs = [Observation(m, v, True) for m, v in zip(months, values)]
+        series = interpolate_series(LabSeries(f"P{k}", LabParameter.WBC, obs), method)
+        age, gender = float(rng.uniform(18, 90)), [Gender.MALE, Gender.FEMALE][k % 2]
+        for certain in (0, 3):
+            with np.errstate(invalid="ignore"):  # log1p of an overshoot below -1
+                expected = _outcome(_per_frame_stage1, series, age, gender, certain)
+                got = _outcome(build_stage1_frames, series, age, gender, certain)
+            if isinstance(expected, list):
+                assert [_as_tuple(f) for f in got] == expected
+            else:
+                assert got is expected
+                raised += 1
+        with np.errstate(invalid="ignore"):
+            expected = _outcome(_per_frame_stage2, series, age, gender)
+            got = _outcome(build_stage2_frame, series, age, gender)
+        if expected is None or isinstance(expected, tuple):
+            assert (got if got is None else _as_tuple(got)) == expected
+        else:
+            assert got is expected
+    if method is InterpMethod.BARYCENTRIC:
+        assert raised > 0  # overshoot below zero is covered
+
+
+def test_uninterpolated_series_is_rejected():
+    obs = [Observation(m, 100.0, True) for m in (0, 3, 6, 9, 12, 15, 18)]
+    series = LabSeries("P1", LabParameter.GLUCOSE_AC, obs)
+    with pytest.raises(ValueError, match="interpolated first"):
+        build_stage1_frames(series, 50.0, Gender.MALE, 0)
+    with pytest.raises(ValueError, match="interpolated first"):
+        build_stage2_frame(series, 50.0, Gender.MALE)

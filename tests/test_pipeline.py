@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from glp import netcore as nc
+from glp import pipeline
 from glp.cohort import GeneratorSpec, LabParameter, generate_pretext_cohort
 from glp.errors import ConfigError, EvaluationError, TrainingError
 from glp.interp import InterpMethod
@@ -300,10 +301,11 @@ def test_final_models_from_workers_match_and_keep_views(small_cohort):
         assert not np.array_equal(model.vector, sequential[parameter].vector)
 
 
-def test_lockstep_stack_matches_solo_fits(small_cohort):
+def test_lockstep_stack_matches_solo_fits(small_cohort, monkeypatch):
     """Ragged schedules in one stack: different frame counts, both sources of
     hybrid, rollout gaps 0 to 5, two parameters, models that finish early.
-    Each model's weights and per-batch losses equal its solo fit bit for bit."""
+    Each model's weights and per-batch losses equal its solo fit bit for bit,
+    also when a group wider than the stack cap steps in chunks."""
     frames = {}
     for parameter in (LabParameter.WBC, LabParameter.GLUCOSE_AC):
         cache = build_frame_cache(small_cohort, parameter, InterpMethod.LINEAR)
@@ -329,10 +331,13 @@ def test_lockstep_stack_matches_solo_fits(small_cohort):
     rngs = lambda: [rng_from(fit.seed, "fit") for fit in fits]  # noqa: E731
     stacked, histories = _lockstep(models, sources, rngs(), config)
     assert len({len(h) for h in histories}) > 2
+    monkeypatch.setattr(pipeline, "_MAX_STACK", 3)  # 7 fits: gap-0 groups split
+    chunked, chunked_histories = _lockstep(models, sources, rngs(), config)
     for m, rng in enumerate(rngs()):
         [solo], [history] = _lockstep([models[m]], [sources[m]], [rng], config)
         assert np.array_equal(stacked[m].vector, solo.vector)
-        assert history == histories[m]
+        assert np.array_equal(chunked[m].vector, solo.vector)
+        assert history == histories[m] == chunked_histories[m]
     two_stage = dataclasses.replace(config, method=TrainMethod.TWO_STAGE)
     together = train_by_method(fits[:4], two_stage)
     for fit, (intermediate, final) in zip(fits, together):

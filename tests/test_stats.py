@@ -94,20 +94,9 @@ def test_p_monotone_in_t():
         assert all(b < a for a, b in zip(ps, ps[1:]))
 
 
-def test_welch_matches_pooled_for_balanced_equal_variance():
-    a = [1.0, 2.0, 3.0]
-    b = [2.0, 3.0, 4.0]
-    pooled = t_test(a, b, "pooled")
-    welch = t_test(a, b, "welch")
-    assert welch.t == pytest.approx(pooled.t, abs=1e-12)
-    assert welch.df == pytest.approx(pooled.df, abs=1e-9)
-
-
 def test_t_test_validation():
     with pytest.raises(EvaluationError):
         t_test([1.0], [1.0, 2.0])
-    with pytest.raises(EvaluationError):
-        t_test([1.0, 2.0], [1.0, 2.0], variant="bogus")
 
 
 def test_r_squared_basics():
