@@ -291,12 +291,22 @@ def _parse_value(text: str) -> float:
     return value
 
 
+def _csv_writers(fh):
+    """A writer for rows ending in "\n", and one that quotes every field. The
+    first quotes only fields holding its line terminator, so a row whose
+    patient id holds a bare "\r", which readers take for a line end, must go
+    through the second."""
+    return (csv.writer(fh, lineterminator="\n"),
+            csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL))
+
+
 def write_cohort_csv(patients: list[Patient], path: str | Path) -> None:
     """One row per real observation, months ascending within each series."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_PRETEXT_HEADER)
+        plain, quoted = _csv_writers(fh)
+        plain.writerow(_PRETEXT_HEADER)
         for patient in patients:
+            writer = quoted if "\r" in patient.patient_id else plain
             for parameter in PARAMETER_ORDER:
                 series = patient.series.get(parameter)
                 if series is None:
@@ -383,10 +393,10 @@ def read_cohort_csv(path: str | Path) -> CohortReadResult:
 
 def write_episodic_csv(records: list[EpisodicRecord], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_EPISODIC_HEADER)
+        plain, quoted = _csv_writers(fh)
+        plain.writerow(_EPISODIC_HEADER)
         for record in records:
-            writer.writerow(
+            (quoted if "\r" in record.patient_id else plain).writerow(
                 [record.patient_id, repr(record.age), record.gender.value]
                 + [repr(record.values[p]) for p in PARAMETER_ORDER]
                 + [record.gap_months, int(record.label)]

@@ -26,9 +26,11 @@ its solo step, so a model trains to the same weights whatever stack it is
 in. Cross-validation trains every (parameter, threshold, fold) fit of a run
 as one stack and `train_final_models` the six final models as another; with
 `jobs` > 1 a stack is split into `jobs` stacks, one per worker process.
-Frames are stacked once per parameter at the smallest threshold trained
-(`TrainingFrames`), and each fit holds index rows into them, filtered by its
-own threshold; the final models reuse them from the `PretrainReport`.
+`assemble_frames` stacks each parameter's frames once into a `FrameSet`,
+the first-stage frames at the smallest threshold trained; each fit holds
+index rows into them, filtered by its own threshold. The held-out rollout
+frames are one set per parameter, and the final models reuse the training
+sets from the `PretrainReport`.
 
 Validation holds out a patient-level test split once per seed, rotates folds
 inside the training split for repetition, and scores rollout forecasts of
@@ -102,67 +104,45 @@ class TrainConfig:
 
 @dataclass
 class FrameSet:
-    """A set of frames as rows of shared arrays: `rows` lists the set's
-    frames in order, so the sets of many fits share one copy of them."""
+    """Frames stacked once: inputs, targets, gaps and counts of real months as
+    rows of shared arrays, with the rows of each patient's frames. `rows`
+    lists the set's frames in order, so the sets of many fits share one copy
+    of the arrays."""
 
-    x: np.ndarray        # (N, 12, 5)
-    targets: np.ndarray  # (N,)
-    gaps: np.ndarray     # (N,)
-    rows: np.ndarray     # (n,) int
+    x: np.ndarray            # (N, 12, 5)
+    targets: np.ndarray      # (N,)
+    gaps: np.ndarray         # (N,) int
+    real_counts: np.ndarray  # (N,) int
+    patient_rows: dict[str, list[int]]
+    rows: np.ndarray         # (n,) int
 
     def __len__(self) -> int:
         return len(self.rows)
 
-
-def frame_set(frames: list[Frame]) -> FrameSet:
-    if not frames:
-        empty = np.empty(0, dtype=int)
-        return FrameSet(np.empty((0, 12, 5)), np.empty(0), empty, empty)
-    return FrameSet(
-        np.stack([f.input for f in frames]),
-        np.array([f.target for f in frames]),
-        np.array([f.gap for f in frames], dtype=int),
-        np.arange(len(frames)),
-    )
-
-
-@dataclass
-class FramePool:
-    """Frames stacked once, each frame's count of real months, and the rows
-    of each patient's frames."""
-
-    data: FrameSet
-    real_counts: np.ndarray  # (N,) int
-    rows: dict[str, list[int]]
-
     @classmethod
-    def of(cls, frames: list[Frame]) -> FramePool:
-        rows: dict[str, list[int]] = {}
+    def of(cls, frames: list[Frame]) -> FrameSet:
+        patient_rows: dict[str, list[int]] = {}
         for row, frame in enumerate(frames):
-            rows.setdefault(frame.patient_id, []).append(row)
-        real_counts = np.array([frame.real_count for frame in frames], dtype=int)
-        return cls(frame_set(frames), real_counts, rows)
+            patient_rows.setdefault(frame.patient_id, []).append(row)
+        return cls(
+            np.stack([f.input for f in frames]) if frames else np.empty((0, 12, 5)),
+            np.array([f.target for f in frames], dtype=float),
+            np.array([f.gap for f in frames], dtype=int),
+            np.array([f.real_count for f in frames], dtype=int),
+            patient_rows,
+            np.arange(len(frames)),
+        )
 
     def select(self, patients: list[Patient] | None = None, certain: int = 0) -> FrameSet:
-        """The frames of `patients` (by default every patient of the pool),
+        """The frames of `patients` (by default every patient of the set),
         patient by patient in the given order, with at least `certain` real
         months."""
         if patients is None:
             rows = np.arange(len(self.real_counts))
         else:
-            rows = np.array([row for p in patients for row in self.rows.get(p.patient_id, ())],
-                            dtype=int)
-        return replace(self.data, rows=rows[self.real_counts[rows] >= certain])
-
-
-@dataclass
-class TrainingFrames:
-    """One parameter's frames over a patient list, each kind stacked once:
-    the stage-1 frames down to one certainty threshold, and the rollout
-    frames."""
-
-    stage1: FramePool
-    stage2: FramePool
+            rows = np.array([row for p in patients
+                             for row in self.patient_rows.get(p.patient_id, ())], dtype=int)
+        return replace(self, rows=rows[self.real_counts[rows] >= certain])
 
 
 def build_frame_cache(
@@ -182,19 +162,16 @@ def assemble_frames(
     cache: dict[str, tuple[list[Frame], Frame | None]],
     patients: list[Patient],
     certain: int,
-) -> tuple[list[Frame], list[Frame]]:
+) -> tuple[FrameSet, FrameSet]:
+    """The patients' first-stage frames with at least `certain` real months
+    and their rollout frames, each kind stacked once, patient by patient."""
     stage1, stage2 = [], []
     for patient in patients:
         s1, s2 = cache[patient.patient_id]
         stage1.extend(f for f in s1 if f.real_count >= certain)
         if s2 is not None:
             stage2.append(s2)
-    return stage1, stage2
-
-
-def _training_frames(cache, patients: list[Patient], certain: int) -> TrainingFrames:
-    stage1, rollout = assemble_frames(cache, patients, certain)
-    return TrainingFrames(FramePool.of(stage1), FramePool.of(rollout))
+    return FrameSet.of(stage1), FrameSet.of(stage2)
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +372,17 @@ def train_by_method(fits: list[Fit], config: TrainConfig
 # inference and scoring
 
 
-def evaluate_r2(model: nc.GlpModel, frames: list[Frame]) -> float:
+def evaluate_r2(model: nc.GlpModel, data: FrameSet) -> float:
     """Rollout forecasts of held-out frames scored against normalized targets."""
-    if len(frames) < 2:
+    if len(data) < 2:
         raise EvaluationError("evaluate_r2 needs >= 2 held-out frames")
-    data = frame_set(frames)
-    predictions = np.empty(len(frames))
-    for gap in np.unique(data.gaps):
-        mask = data.gaps == gap
-        preds, _, _, _ = nc.rollout_forward(model, data.x[mask], int(gap))
+    x, gaps = data.x[data.rows], data.gaps[data.rows]
+    predictions = np.empty(len(data))
+    for gap in np.unique(gaps):
+        mask = gaps == gap
+        preds, _, _, _ = nc.rollout_forward(model, x[mask], int(gap))
         predictions[mask] = preds
-    return r_squared(predictions, data.targets)
+    return r_squared(predictions, data.targets[data.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +437,7 @@ class PretrainReport:
     mean_r2: float = float("nan")
     # kept on the object, not serialized
     wall_clock_seconds: float = 0.0
-    frames: dict[LabParameter, TrainingFrames] = field(default_factory=dict, repr=False)
+    frames: dict[LabParameter, tuple[FrameSet, FrameSet]] = field(default_factory=dict, repr=False)
 
     @property
     def method(self) -> str:
@@ -516,16 +493,16 @@ def _in_stacks(fn, fits: list[Fit], jobs: int) -> list:
         return [result for part in pool.map(fn, chunks) for result in part]
 
 
-def _score_stack(config: TrainConfig, test_frames: dict[LabParameter, list[Frame]],
+def _score_stack(config: TrainConfig, held_out: dict[LabParameter, FrameSet],
                  fits: list[Fit]):
     """Train a stack and score each fit on its parameter's held-out frames:
     (final R^2, supervised-intermediate R^2 or None) per fit."""
     scores = []
     for fit, (intermediate, final) in zip(fits, train_by_method(fits, config)):
-        held_out = test_frames[fit.parameter]
-        stage1_r2 = (evaluate_r2(intermediate, held_out)
+        data = held_out[fit.parameter]
+        stage1_r2 = (evaluate_r2(intermediate, data)
                      if config.method is TrainMethod.TWO_STAGE else None)
-        scores.append((evaluate_r2(final, held_out), stage1_r2))
+        scores.append((evaluate_r2(final, data), stage1_r2))
     return scores
 
 
@@ -552,22 +529,23 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
     folds = make_folds(train, config.folds, derive_seed(config.seed, "cv"))
     fit_patients = [[p for j, fold in enumerate(folds) if j != k for p in fold]
                     for k in range(config.folds)]
-    frames: dict[LabParameter, TrainingFrames] = {}
-    test_frames: dict[LabParameter, list[Frame]] = {}
+    frames: dict[LabParameter, tuple[FrameSet, FrameSet]] = {}
+    held_out: dict[LabParameter, FrameSet] = {}
     fits = []
     for parameter in config.parameters:
-        test_cache = build_frame_cache(test, parameter, config.interp)
-        _, test_frames[parameter] = assemble_frames(test_cache, test, certain=0)
-        if len(test_frames[parameter]) < 2:
+        # the caches are dropped at once: only the stacked sets outlive framing
+        held_out[parameter] = assemble_frames(
+            build_frame_cache(test, parameter, config.interp), test, certain=0)[1]
+        if len(held_out[parameter]) < 2:
             raise ConfigError("test split yields fewer than 2 rollout frames")
-        pools = frames[parameter] = _training_frames(
+        stage1, stage2 = frames[parameter] = assemble_frames(
             build_frame_cache(train, parameter, config.interp), train, min(certains))
         for certain in certains:
             for k, members in enumerate(fit_patients):
                 seed = derive_seed(config.seed, parameter.value, "certain", certain, "fold", k)
-                fits.append(Fit(parameter, certain, seed, pools.stage1.select(members, certain),
-                                pools.stage2.select(members)))
-    scores = iter(_in_stacks(partial(_score_stack, config, test_frames), fits, jobs))
+                fits.append(Fit(parameter, certain, seed, stage1.select(members, certain),
+                                stage2.select(members)))
+    scores = iter(_in_stacks(partial(_score_stack, config, held_out), fits, jobs))
 
     report = PretrainReport(
         config_echo=_config_echo(config), seed=config.seed,
@@ -617,9 +595,9 @@ def train_final_models(report: PretrainReport, config: TrainConfig,
     fits = []
     for parameter in config.parameters:
         certain = report.parameters[parameter.value].chosen_certain
-        pools = report.frames[parameter]
+        stage1, stage2 = report.frames[parameter]
         fits.append(Fit(parameter, certain, derive_seed(config.seed, parameter.value, "final"),
-                        pools.stage1.select(certain=certain), pools.stage2.select()))
+                        stage1.select(certain=certain), stage2.select()))
     return dict(zip(config.parameters, _in_stacks(partial(_final_stack, config), fits, jobs)))
 
 

@@ -9,6 +9,9 @@ frozen forecaster forward over the record's month gap with
 * `raw`: the normalized input values themselves (6), the no-model baseline;
 * mid-rollout forecasts at ceil(g/2) for the distribution export.
 
+`extract_features_bulk` fills one `ProgressFeatures` table, one row per
+record, and the study and the export index its arrays in place.
+
 The record's single observed value seeds all 12 window months (constant
 carry), with only the final month flagged as really observed; the rollout
 supplies all temporal structure.
@@ -47,13 +50,17 @@ METRIC_NAMES = ("auroc", "accuracy", "sensitivity", "specificity", "precision", 
 
 @dataclass
 class ProgressFeatures:
-    patient_id: str
-    label: bool
-    gap: int
-    raw: np.ndarray       # (6,) normalized input values
-    emb: np.ndarray       # (30,) final latents, parameter-major
-    out: np.ndarray       # (6,) full-rollout forecasts (normalized)
-    out_half: np.ndarray  # (6,) forecasts at ceil(g/2) applications
+    """The transfer features of n records, one row per record."""
+
+    patient_ids: list[str]
+    labels: np.ndarray    # (n,) int
+    raw: np.ndarray       # (n, 6) normalized input values
+    emb: np.ndarray       # (n, 30) final latents, parameter-major
+    out: np.ndarray       # (n, 6) full-rollout forecasts (normalized)
+    out_half: np.ndarray  # (n, 6) forecasts at ceil(g/2) applications
+
+    def __len__(self) -> int:
+        return len(self.patient_ids)
 
 
 def seed_frame(record: EpisodicRecord, parameter: LabParameter) -> np.ndarray:
@@ -77,8 +84,8 @@ def _check_models(models: dict[LabParameter, nc.GlpModel]) -> None:
 
 def extract_features_bulk(
     models: dict[LabParameter, nc.GlpModel], records: list[EpisodicRecord]
-) -> list[ProgressFeatures]:
-    """Transfer features for each record; the models are never mutated.
+) -> ProgressFeatures:
+    """Transfer features of the records; the models are never mutated.
 
     Per parameter, one `netcore.rollout_forward` call rolls every record
     forward to the largest gap and keeps only each record's latents of its
@@ -98,11 +105,9 @@ def extract_features_bulk(
         out[:, i], (half_latent, emb[:, i]), _, _ = nc.rollout_forward(
             model, x0, int(gaps.max()), at=(half_apps, gaps))
         half[:, i], _ = nc.regressor_forward(model.regressor, half_latent)
-    return [
-        ProgressFeatures(r.patient_id, r.label, r.gap_months,
-                         raw[j], emb[j].ravel(), out[j], half[j])
-        for j, r in enumerate(records)
-    ]
+    return ProgressFeatures([r.patient_id for r in records],
+                            np.array([r.label for r in records], dtype=int),
+                            raw, emb.reshape(n, -1), out, half)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +237,7 @@ def run_downstream_study(
     seed: int,
     repetitions: int = 5,
     split_ratio: float = 0.8,
-) -> tuple[DownstreamReport, list[ProgressFeatures]]:
+) -> tuple[DownstreamReport, ProgressFeatures]:
     """The full classification comparison across raw / emb / out features.
 
     Raises ConfigError when `repetitions` < 1, or when `split_ratio` leaves a
@@ -241,12 +246,6 @@ def run_downstream_study(
         raise ConfigError("transfer.repetitions must be >= 1")
     checksums_before = {p.value: nc.model_checksum(models[p]) for p in PARAMETER_ORDER}
     features = extract_features_bulk(models, records)
-    matrices = {
-        "raw": np.stack([f.raw for f in features]),
-        "emb": np.stack([f.emb for f in features]),
-        "out": np.stack([f.out for f in features]),
-    }
-    labels_all = np.array([f.label for f in features], dtype=int)
 
     metric_samples: dict[tuple[str, str, str], list[float]] = {}
     kappa_samples: dict[str, list[float]] = {rep: [] for rep in REPRESENTATIONS}
@@ -255,12 +254,12 @@ def run_downstream_study(
     n_balanced = 0
     for repetition in range(repetitions):
         rep_seed = derive_seed(seed, "repetition", repetition)
-        keep = _balanced_indices(labels_all, rep_seed)
+        keep = _balanced_indices(features.labels, rep_seed)
         n_balanced = len(keep)
-        labels = labels_all[keep]
+        labels = features.labels[keep]
         train_idx, test_idx = _stratified_split(labels, split_ratio, rng_from(rep_seed, "split"))
         for rep in REPRESENTATIONS:
-            matrix = matrices[rep][keep]
+            matrix = getattr(features, rep)[keep]
             predictions = {}
             per_classifier_metrics = {}
             for kind in ClassifierKind:
@@ -366,21 +365,15 @@ def write_downstream_table_csv(report: DownstreamReport, path) -> None:
             )
 
 
-def write_distribution_csv(features: list[ProgressFeatures], path) -> None:
+def write_distribution_csv(features: ProgressFeatures, path) -> None:
     """Per record and parameter: the raw value and the denormalized forecasts
     at half and full rollout."""
+    stages = (("raw", features.raw), ("half", features.out_half), ("full", features.out))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["patient_id", "parameter", "stage", "value", "label"])
-        for item in features:
+        for j, (patient_id, label) in enumerate(zip(features.patient_ids, features.labels.tolist())):
             for i, parameter in enumerate(PARAMETER_ORDER):
-                label = int(item.label)
-                writer.writerow(
-                    [item.patient_id, parameter.value, "raw", repr(denormalize(item.raw[i])), label]
-                )
-                writer.writerow(
-                    [item.patient_id, parameter.value, "half", repr(denormalize(item.out_half[i])), label]
-                )
-                writer.writerow(
-                    [item.patient_id, parameter.value, "full", repr(denormalize(item.out[i])), label]
-                )
+                for stage, values in stages:
+                    writer.writerow([patient_id, parameter.value, stage,
+                                     repr(denormalize(values[j, i])), label])

@@ -31,7 +31,6 @@ from glp.pipeline import (
     assemble_frames,
     build_frame_cache,
     cross_validate,
-    frame_set,
     split_cohort,
     train_by_method,
 )
@@ -74,8 +73,7 @@ def frozen_models(pretext_cohort):
         seed = derive_seed(7, parameter.value, "final")
         train, _ = split_cohort(pretext_cohort, config.split_ratio, seed)
         cache = build_frame_cache(train, parameter, config.interp)
-        stage1, stage2 = assemble_frames(cache, train, config.certain)
-        fits.append(Fit(parameter, config.certain, seed, frame_set(stage1), frame_set(stage2)))
+        fits.append(Fit(parameter, config.certain, seed, *assemble_frames(cache, train, config.certain)))
     trained = train_by_method(fits, config)
     models = {fit.parameter: final for fit, (_, final) in zip(fits, trained)}
     sys.__stdout__.write(

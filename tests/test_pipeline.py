@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from glp import netcore as nc
 from glp import pipeline
 from glp.cohort import GeneratorSpec, LabParameter, generate_pretext_cohort
 from glp.errors import ConfigError, EvaluationError, TrainingError
+from glp.framing import Frame
 from glp.interp import InterpMethod
 from glp.pipeline import (
     Fit,
-    FramePool,
+    FrameSet,
     TrainConfig,
     TrainMethod,
     _lockstep,
@@ -20,7 +22,6 @@ from glp.pipeline import (
     build_frame_cache,
     cross_validate,
     evaluate_r2,
-    frame_set,
     make_folds,
     report_to_dict,
     split_cohort,
@@ -38,7 +39,15 @@ QUICK = TrainConfig(epochs=4, seed=5)
 
 
 def fit_of(stage1, stage2=(), seed=QUICK.seed, parameter=LabParameter.WBC):
-    return Fit(parameter, 0, seed, frame_set(list(stage1)), frame_set(list(stage2)))
+    return Fit(parameter, 0, seed, FrameSet.of(list(stage1)), FrameSet.of(list(stage2)))
+
+
+def frame_lists(cache):
+    """Every first-stage frame and every rollout frame of a frame cache,
+    patient by patient: the frames `assemble_frames(cache, patients, 0)`
+    stacks, as `Frame` lists."""
+    return ([frame for stage1, _ in cache.values() for frame in stage1],
+            [stage2 for _, stage2 in cache.values() if stage2 is not None])
 
 
 def stage1_model(frames, config=QUICK):
@@ -52,8 +61,7 @@ def small_cohort():
 
 @pytest.fixture(scope="module")
 def frames(small_cohort):
-    cache = build_frame_cache(small_cohort, LabParameter.WBC, InterpMethod.LINEAR)
-    return assemble_frames(cache, small_cohort, certain=0)
+    return frame_lists(build_frame_cache(small_cohort, LabParameter.WBC, InterpMethod.LINEAR))
 
 
 def test_train_stage1_requires_frames():
@@ -86,8 +94,8 @@ def test_stage2_with_zero_gaps_equals_stage1(frames):
     # identical per-batch loss sequences as well
     start1 = _scaled_init(fit, fit.stage2)
     start2 = _scaled_init(fit, fit.stage2)
-    _, [h1] = _lockstep([start1], [[frame_set(subset)]], [rng_from(config.seed, "fit")], config)
-    _, [h2] = _lockstep([start2], [[frame_set(subset)]], [rng_from(config.seed, "fit")], config)
+    _, [h1] = _lockstep([start1], [[FrameSet.of(subset)]], [rng_from(config.seed, "fit")], config)
+    _, [h2] = _lockstep([start2], [[FrameSet.of(subset)]], [rng_from(config.seed, "fit")], config)
     assert h1 == h2
 
 
@@ -166,7 +174,7 @@ def test_evaluate_r2_validation(frames):
     s1, _ = frames
     model = stage1_model(s1[:40])
     with pytest.raises(EvaluationError):
-        evaluate_r2(model, s1[:1])
+        evaluate_r2(model, FrameSet.of(s1[:1]))
 
 
 def test_split_shapes():
@@ -192,7 +200,7 @@ def test_bucketed_batches_single_gap_each(frames):
     from glp.pipeline import _bucket_batches
 
     _, s2 = frames
-    data = frame_set(s2)
+    data = FrameSet.of(s2)
     perm = np.random.default_rng(0).permutation(len(s2))
     batches = _bucket_batches(data, perm, 4)
     seen = []
@@ -308,8 +316,7 @@ def test_lockstep_stack_matches_solo_fits(small_cohort, monkeypatch):
     also when a group wider than the stack cap steps in chunks."""
     frames = {}
     for parameter in (LabParameter.WBC, LabParameter.GLUCOSE_AC):
-        cache = build_frame_cache(small_cohort, parameter, InterpMethod.LINEAR)
-        frames[parameter] = assemble_frames(cache, small_cohort, certain=0)
+        frames[parameter] = frame_lists(build_frame_cache(small_cohort, parameter, InterpMethod.LINEAR))
     config = TrainConfig(epochs=2, batch_size=4, method=TrainMethod.HYBRID)
     gap2 = {parameter: [f for f in s2 if f.gap == 2][:2] for parameter, (_, s2) in frames.items()}
     fits = [
@@ -346,22 +353,46 @@ def test_lockstep_stack_matches_solo_fits(small_cohort, monkeypatch):
         assert np.array_equal(final.vector, alone_final.vector)
 
 
-def test_frame_pool_rows_match_assembled_frames(small_cohort):
-    """One pool stacked at threshold 0 gives, for any patients and threshold,
-    the frames assemble_frames keeps, in its order."""
+def test_frame_set_select_matches_assembled_frames(small_cohort):
+    """Sets stacked at threshold 0 give, for any patients and threshold, the
+    frames assemble_frames keeps, in its order."""
     cache = build_frame_cache(small_cohort, LabParameter.WBC, InterpMethod.LINEAR)
     stage1, stage2 = assemble_frames(cache, small_cohort, certain=0)
-    pools = FramePool.of(stage1), FramePool.of(stage2)
+    assert len(stage1) == len(frame_lists(cache)[0])
     members = small_cohort[::-2]
     for certain in range(6):
         # the threshold filters first-stage frames only, as in assemble_frames
-        picks = pools[0].select(members, certain), pools[1].select(members)
+        picks = stage1.select(members, certain), stage2.select(members)
         for picked, kept in zip(picks, assemble_frames(cache, members, certain)):
-            expected = frame_set(kept)
-            assert np.array_equal(picked.x[picked.rows], expected.x)
-            assert np.array_equal(picked.targets[picked.rows], expected.targets)
-            assert np.array_equal(picked.gaps[picked.rows], expected.gaps)
-    assert len(pools[0].select(certain=5)) < len(pools[0].select()) == len(stage1)
+            assert np.array_equal(kept.rows, np.arange(len(kept)))
+            assert np.array_equal(picked.x[picked.rows], kept.x)
+            assert np.array_equal(picked.targets[picked.rows], kept.targets)
+            assert np.array_equal(picked.gaps[picked.rows], kept.gaps)
+            assert np.array_equal(picked.real_counts[picked.rows], kept.real_counts)
+    assert len(stage1.select(certain=5)) < len(stage1.select()) == len(stage1)
+
+
+def _live_frames() -> int:
+    gc.collect()
+    return sum(isinstance(obj, Frame) for obj in gc.get_objects())
+
+
+def test_no_frame_outlives_framing(small_cohort, monkeypatch):
+    """Once training starts, the frame caches and their `Frame`s are gone:
+    only the stacked sets remain, so no held-out or training cache is held
+    through cross-validation."""
+    before = _live_frames()
+    alive = []
+    in_stacks = pipeline._in_stacks
+
+    def counting(fn, fits, jobs):
+        alive.append(_live_frames() - before)
+        return in_stacks(fn, fits, jobs)
+
+    monkeypatch.setattr(pipeline, "_in_stacks", counting)
+    config = TrainConfig(epochs=1, seed=3, folds=2, parameters=(LabParameter.WBC, LabParameter.UA))
+    cross_validate(small_cohort, config)
+    assert alive == [0]
 
 
 def test_train_final_models_respects_chosen(small_cohort):
@@ -377,9 +408,8 @@ def test_train_final_models_respects_chosen(small_cohort):
         assert models[parameter].certain == certain
         # trained on exactly the training split's frames at the chosen threshold
         cache = build_frame_cache(train, parameter, config.interp)
-        s1, s2 = assemble_frames(cache, train, certain)
         alone = Fit(parameter, certain, derive_seed(config.seed, parameter.value, "final"),
-                    frame_set(s1), frame_set(s2))
+                    *assemble_frames(cache, train, certain))
         [(_, final)] = train_by_method([alone], config)
         assert np.array_equal(models[parameter].vector, final.vector)
     with pytest.raises(ConfigError, match="another config"):

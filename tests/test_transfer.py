@@ -45,28 +45,29 @@ def test_seed_frame_constant_carry():
 
 
 def test_extract_features_shapes():
-    (features,) = extract_features_bulk(_models(), [_record(gap=5)])
-    assert features.emb.shape == (30,)
-    assert features.out.shape == (6,)
-    assert features.raw.shape == (6,)
+    features = extract_features_bulk(_models(), [_record(gap=5), _record(gap=2, label=False)])
+    assert len(features) == 2 and features.patient_ids == ["D1", "D1"]
+    assert features.labels.tolist() == [1, 0]
+    assert features.emb.shape == (2, 30)
+    assert features.out.shape == features.out_half.shape == features.raw.shape == (2, 6)
     assert np.all(np.isfinite(features.emb))
 
 
 def test_extract_features_gap_zero_is_single_pass():
     models = _models()
     record = _record(gap=0)
-    (features,) = extract_features_bulk(models, [record])
+    features = extract_features_bulk(models, [record])
     for i, parameter in enumerate(PARAMETER_ORDER):
         x0 = seed_frame(record, parameter)[None]
         out, _ = nc.libc_forward(models[parameter].libc, x0)
         pred, _ = nc.regressor_forward(models[parameter].regressor, out[:, -1, :])
-        assert features.out[i] == pred[0]
-        assert features.out_half[i] == pred[0]
+        assert features.out[0, i] == pred[0]
+        assert features.out_half[0, i] == pred[0]
 
 
 def test_extract_features_zero_weights():
     zero = {p: nc.vector_to_model(np.zeros(nc.n_parameters()), p, 0) for p in PARAMETER_ORDER}
-    (features,) = extract_features_bulk(zero, [_record(gap=7)])
+    features = extract_features_bulk(zero, [_record(gap=7)])
     assert np.all(features.out == 0.0)
 
 
@@ -76,7 +77,7 @@ def test_bulk_matches_single():
         DownstreamSpec(n_positive=6, n_negative=10, seed=3, g_mean_positive=9, g_mean_negative=20)
     )
     bulk = extract_features_bulk(models, records)
-    for record, features in zip(records, bulk):
+    for j, record in enumerate(records):
         # one record at a time through the forward that `evaluate_r2` uses
         for i, parameter in enumerate(PARAMETER_ORDER):
             model = models[parameter]
@@ -85,10 +86,10 @@ def test_bulk_matches_single():
             pred, latents, _, _ = nc.rollout_forward(model, x0, record.gap_months, at=at)
             half_index = max(1, -(-record.gap_months // 2)) - 1  # ceil(g/2), 1-based
             half, _ = nc.regressor_forward(model.regressor, latents[half_index])
-            np.testing.assert_allclose(features.emb[5 * i : 5 * i + 5], latents[-1][0],
+            np.testing.assert_allclose(bulk.emb[j, 5 * i : 5 * i + 5], latents[-1][0],
                                        rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(features.out[i], pred[0], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(features.out_half[i], half[0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bulk.out[j, i], pred[0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bulk.out_half[j, i], half[0], rtol=1e-12, atol=1e-12)
 
 
 def _labels(spec):
@@ -226,14 +227,13 @@ def test_distribution_csv_contents(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(records) * len(PARAMETER_ORDER) * 3
     assert {row["stage"] for row in rows} == {"raw", "half", "full"}
-    first = features[0]
-    head = [row for row in rows if row["patient_id"] == first.patient_id
+    head = [row for row in rows if row["patient_id"] == features.patient_ids[0]
             and row["parameter"] == "CHOL_HDL"]
     by_stage = {row["stage"]: float(row["value"]) for row in head}
-    assert by_stage["raw"] == pytest.approx(denormalize(first.raw[0]), rel=1e-12)
-    assert by_stage["half"] == pytest.approx(denormalize(first.out_half[0]), rel=1e-12)
-    assert by_stage["full"] == pytest.approx(denormalize(first.out[0]), rel=1e-12)
-    assert head[0]["label"] == str(int(first.label))
+    assert by_stage["raw"] == pytest.approx(denormalize(features.raw[0, 0]), rel=1e-12)
+    assert by_stage["half"] == pytest.approx(denormalize(features.out_half[0, 0]), rel=1e-12)
+    assert by_stage["full"] == pytest.approx(denormalize(features.out[0, 0]), rel=1e-12)
+    assert head[0]["label"] == str(features.labels[0])
 
 
 @pytest.fixture(scope="module")
