@@ -331,7 +331,7 @@ def cmd_verify(paths: list[str]) -> int:
             continue
         print(
             f"{path}: OK parameter={model.parameter.value} certain={model.certain} "
-            f"format=v{model.version}"
+            f"format=v{FORMAT_VERSION}"
         )
     return failures
 

@@ -47,8 +47,9 @@ class LabParameter(Enum):
 PARAMETER_ORDER: tuple[LabParameter, ...] = tuple(LabParameter)
 
 # The longest span the readers' accepted age range [18, 110] allows. It bounds
-# a pretext month and an episodic gap: interpolation fills every month up to
-# the last and feature extraction unrolls every record to the largest gap.
+# a pretext month (so the generator's `months_span` too) and an episodic gap:
+# interpolation fills every month up to the last and feature extraction
+# unrolls every record to the largest gap.
 MAX_MONTHS = 12 * (110 - 18)
 
 # episodic CSV column name per parameter
@@ -71,7 +72,6 @@ class Gender(Enum):
 class Observation:
     month: int
     value: float
-    is_real: bool
 
 
 @dataclass
@@ -84,14 +84,11 @@ class LabSeries:
         months = [o.month for o in self.observations]
         if any(b <= a for a, b in zip(months, months[1:])):
             raise SchemaError(f"{self.patient_id}/{self.parameter.value}: months not strictly increasing")
-        if sum(o.is_real for o in self.observations) < 2:
-            raise SchemaError(f"{self.patient_id}/{self.parameter.value}: needs >= 2 real observations")
+        if len(self.observations) < 2:
+            raise SchemaError(f"{self.patient_id}/{self.parameter.value}: needs >= 2 observations")
         for o in self.observations:
             if not (math.isfinite(o.value) and o.value > 0):
                 raise SchemaError(f"{self.patient_id}/{self.parameter.value}: bad value {o.value}")
-
-    def real_months(self) -> list[int]:
-        return [o.month for o in self.observations if o.is_real]
 
 
 @dataclass
@@ -195,8 +192,8 @@ def generate_pretext_cohort(spec: GeneratorSpec) -> list[Patient]:
         raise ConfigError("n_patients must be >= 1")
     if spec.visit_period_mean < 1:
         raise ConfigError("visit_period_mean must be >= 1")
-    if spec.months_span < 2:
-        raise ConfigError("months_span must be >= 2")
+    if not 2 <= spec.months_span <= MAX_MONTHS:
+        raise ConfigError(f"months_span must be in [2, {MAX_MONTHS}]")
     if not 0.0 <= spec.dropout_prob < 1.0:
         raise ConfigError("dropout_prob must be in [0, 1)")
 
@@ -218,7 +215,7 @@ def generate_pretext_cohort(spec: GeneratorSpec) -> list[Patient]:
             if len(visits) > 1:
                 kept.append(visits[-1])
             values = _series_values(parameter, kept, srng)
-            obs = [Observation(m, v, True) for m, v in zip(kept, values)]
+            obs = [Observation(m, v) for m, v in zip(kept, values)]
             series[parameter] = LabSeries(pid, parameter, obs)
             series[parameter].validate()
         patients.append(Patient(pid, age, gender, series))
@@ -301,7 +298,7 @@ def _csv_writers(fh):
 
 
 def write_cohort_csv(patients: list[Patient], path: str | Path) -> None:
-    """One row per real observation, months ascending within each series."""
+    """One row per observation, months ascending within each series."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         plain, quoted = _csv_writers(fh)
         plain.writerow(_PRETEXT_HEADER)
@@ -312,8 +309,6 @@ def write_cohort_csv(patients: list[Patient], path: str | Path) -> None:
                 if series is None:
                     continue
                 for obs in series.observations:
-                    if not obs.is_real:
-                        continue
                     writer.writerow(
                         [
                             patient.patient_id,
@@ -378,7 +373,7 @@ def read_cohort_csv(path: str | Path) -> CohortReadResult:
                     RowRejection(line, f"month {month} not increasing for {pid}/{parameter.value}")
                 )
                 continue
-            obs_list.append(Observation(month, value, True))
+            obs_list.append(Observation(month, value))
 
     for pid in order:
         age, gender = demo[pid]

@@ -15,14 +15,20 @@ second-to-last real observation:
   month is evaluated against its 12 nearest knots instead, which keeps the
   method usable where a global polynomial would oscillate wildly.
 
-The final real observation is never touched and never interpolated toward.
+`interpolate_series` returns a `FilledSeries`: the months from the first to
+the second-to-last observation as two arrays, `values` and `is_real` (the
+observed months keep their values exactly), and the final observation `last`,
+which is never touched and never interpolated toward.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
-from .cohort import LabSeries, Observation
+import numpy as np
+
+from .cohort import LabParameter, LabSeries, Observation
 from .errors import ConfigError
 
 _GLOBAL_NODE_LIMIT = 30
@@ -165,36 +171,45 @@ def barycentric_fill(points: list[tuple[float, float]]) -> dict[int, float]:
     return out
 
 
-def interpolate_series(series: LabSeries, method: InterpMethod) -> LabSeries:
-    """Fill every integer month between the first and the second-to-last real
-    observation; the last real observation passes through untouched."""
-    real = [o for o in series.observations if o.is_real]
-    if len(real) < 3:
-        return series
-    knots = real[:-1]  # everything up to and including the second-to-last
-    last = real[-1]
-    points = [(float(o.month), o.value) for o in knots]
+@dataclass
+class FilledSeries:
+    """A series filled month by month: `values[k]` and `is_real[k]` belong to
+    month `first + k`, up to the second-to-last observation's month; `last` is
+    the final observation."""
 
-    if method is InterpMethod.LINEAR:
+    patient_id: str
+    parameter: LabParameter
+    first: int
+    values: np.ndarray  # float64
+    is_real: np.ndarray  # bool
+    last: Observation
+
+
+def interpolate_series(series: LabSeries, method: InterpMethod) -> FilledSeries:
+    """Fill every integer month between the first and the second-to-last
+    observation; the last observation passes through untouched."""
+    *knots, last = series.observations
+    real = {o.month: o.value for o in knots}
+    points = [(float(month), value) for month, value in real.items()]
+    months = range(knots[0].month, knots[-1].month + 1)
+    if len(knots) < 2:
+        filled = real
+    elif method is InterpMethod.LINEAR:
         filled = {}
         seg = 0
-        for month in range(knots[0].month, knots[-1].month + 1):
-            while seg < len(knots) - 2 and month >= knots[seg + 1].month:
+        for month in months:
+            while seg < len(points) - 2 and month >= points[seg + 1][0]:
                 seg += 1
-            filled[month] = linear_at(
-                knots[seg].month, knots[seg].value, knots[seg + 1].month, knots[seg + 1].value, month
-            )
+            filled[month] = linear_at(*points[seg], *points[seg + 1], month)
     elif method is InterpMethod.PCHIP:
         filled = pchip_fill(points)
     else:
         filled = barycentric_fill(points)
-
-    real_months = {o.month: o for o in knots}
-    observations = []
-    for month in range(knots[0].month, knots[-1].month + 1):
-        if month in real_months:
-            observations.append(real_months[month])
-        else:
-            observations.append(Observation(month, filled[month], False))
-    observations.append(last)
-    return LabSeries(series.patient_id, series.parameter, observations)
+    return FilledSeries(
+        series.patient_id,
+        series.parameter,
+        months.start,
+        np.array([real.get(month, filled[month]) for month in months]),
+        np.array([month in real for month in months]),
+        last,
+    )

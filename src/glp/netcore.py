@@ -140,7 +140,6 @@ class GlpModel:
     parameter: LabParameter
     certain: int
     vector: np.ndarray  # (516,) float64, the only storage of the weights
-    version: int = 1
     libc: LibcParams = field(init=False, repr=False, compare=False)
     regressor: RegressorParams = field(init=False, repr=False, compare=False)
 
@@ -149,7 +148,7 @@ class GlpModel:
 
     def __reduce__(self):
         # pickling the views would copy them apart from `vector`; rebuild them
-        return GlpModel, (self.parameter, self.certain, self.vector, self.version)
+        return GlpModel, (self.parameter, self.certain, self.vector)
 
 
 def vector_to_model(vec: np.ndarray, parameter: LabParameter, certain: int) -> GlpModel:
@@ -519,4 +518,4 @@ def load_weights(path) -> GlpModel:
     vec = np.frombuffer(payload[_HEADER.size :], dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(vec)):
         raise IntegrityError(f"{path}: non-finite weights")
-    return GlpModel(PARAMETER_ORDER[param_index], certain, vec, version)
+    return GlpModel(PARAMETER_ORDER[param_index], certain, vec)

@@ -417,7 +417,6 @@ class GridRow:
 
 @dataclass
 class ParameterResult:
-    parameter: str
     chosen_certain: int
     per_fold_r2: list[float]
     mean_r2: float
@@ -561,7 +560,6 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
         chosen = argmax_certain([row.mean_r2 for row in grid])
         _, chosen_fold_r2, chosen_stage1 = rows[chosen]
         report.parameters[parameter.value] = ParameterResult(
-            parameter=parameter.value,
             chosen_certain=grid[chosen].certain,
             per_fold_r2=chosen_fold_r2,
             mean_r2=grid[chosen].mean_r2,

@@ -35,6 +35,12 @@ def test_synth_writes_cohorts_and_manifest(tmp_path):
     assert manifest["seed"] == 3
 
 
+def test_synth_rejects_a_months_span_the_reader_would_reject(tmp_path):
+    config, out = tiny_config(tmp_path, pretext={"n_patients": 3, "months_span": 1105})
+    assert main(["synth", "--config", str(config)]) == 2
+    assert not (out / "pretext.csv").exists()
+
+
 def test_pretrain_requires_synth(tmp_path):
     config, _ = tiny_config(tmp_path)
     assert main(["pretrain", "--config", str(config)]) == 3

@@ -23,7 +23,7 @@ def test_single_patient_visit_density():
     spec = GeneratorSpec(n_patients=1, months_span=24, visit_period_mean=3, dropout_prob=0.0, seed=7)
     (patient,) = generate_pretext_cohort(spec)
     for series in patient.series.values():
-        months = series.real_months()
+        months = [o.month for o in series.observations]
         assert months[0] == 0
         assert months[-1] <= 24
         # mean inter-visit gap 3 over 24 months: about 9 visits
@@ -36,7 +36,7 @@ def test_expected_visit_count_by_simulation():
     for seed in range(40):
         spec = GeneratorSpec(n_patients=1, months_span=24, visit_period_mean=3, dropout_prob=0.0, seed=seed)
         (patient,) = generate_pretext_cohort(spec)
-        counts.append(len(patient.series[LabParameter.WBC].real_months()))
+        counts.append(len(patient.series[LabParameter.WBC].observations))
     assert abs(np.mean(counts) - 9.0) < 1.5
 
 
@@ -45,6 +45,15 @@ def test_zero_patients_rejected():
         generate_pretext_cohort(GeneratorSpec(n_patients=0))
     with pytest.raises(ConfigError):
         generate_pretext_cohort(GeneratorSpec(n_patients=5, visit_period_mean=0.5))
+
+
+def test_months_span_bounded_by_what_the_reader_accepts(tmp_path):
+    with pytest.raises(ConfigError, match="months_span"):
+        generate_pretext_cohort(GeneratorSpec(n_patients=1, months_span=MAX_MONTHS + 1))
+    patients = generate_pretext_cohort(GeneratorSpec(n_patients=2, months_span=MAX_MONTHS, seed=1))
+    write_cohort_csv(patients, tmp_path / "pretext.csv")
+    result = read_cohort_csv(tmp_path / "pretext.csv")
+    assert not result.rejected_rows and len(result.patients) == 2
 
 
 def test_generator_determinism_byte_identical(tmp_path):
@@ -65,7 +74,7 @@ def test_cohort_invariants():
         for series in patient.series.values():
             months = [o.month for o in series.observations]
             assert all(b > a for a, b in zip(months, months[1:]))
-            assert sum(o.is_real for o in series.observations) >= 2
+            assert len(series.observations) >= 2
             assert all(o.value > 0 and math.isfinite(o.value) for o in series.observations)
 
 
@@ -76,8 +85,8 @@ def test_dropout_keeps_endpoints():
     kept = generate_pretext_cohort(full)
     for pd, pk in zip(dropped, kept):
         for parameter in PARAMETER_ORDER:
-            md = pd.series[parameter].real_months()
-            mk = pk.series[parameter].real_months()
+            md = [o.month for o in pd.series[parameter].observations]
+            mk = [o.month for o in pk.series[parameter].observations]
             assert set(md) <= set(mk)
             assert md[0] == mk[0] and md[-1] == mk[-1]
 

@@ -40,7 +40,7 @@ values = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 @st.composite
 def series_observations(draw):
     months = draw(st.lists(st.integers(0, MAX_MONTHS), min_size=2, max_size=6, unique=True))
-    return [Observation(month, draw(values), True) for month in sorted(months)]
+    return [Observation(month, draw(values)) for month in sorted(months)]
 
 
 @st.composite

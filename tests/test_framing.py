@@ -11,15 +11,23 @@ from glp.interp import InterpMethod, interpolate_series
 
 def _interp(months, values=None):
     values = values if values is not None else [100.0 + 2 * m for m in months]
-    obs = [Observation(m, v, True) for m, v in zip(months, values)]
+    obs = [Observation(m, v) for m, v in zip(months, values)]
     series = LabSeries("P1", LabParameter.GLUCOSE_AC, obs)
     return interpolate_series(series, InterpMethod.LINEAR)
 
 
+def _months(series):
+    """A filled series as a month lookup {month: (value, is_real)}, the last
+    observation included, and its real months in order."""
+    lookup = {series.first + k: pair
+              for k, pair in enumerate(zip(series.values.tolist(), series.is_real.tolist()))}
+    lookup[series.last.month] = (series.last.value, True)
+    return lookup, [month for month, (_, is_real) in lookup.items() if is_real]
+
+
 def brute_force_stage1(series, certain):
     """Independent sliding-window enumerator used as the framing oracle."""
-    lookup = {o.month: (o.value, o.is_real) for o in series.observations}
-    real = series.real_months()
+    lookup, real = _months(series)
     first, m = real[0], real[-2]
     expected = []
     for start in range(first, m + 1):
@@ -38,8 +46,8 @@ def test_stage1_example_indices():
     series = _interp([0, 3, 6, 9, 12, 15, 18])
     frames = build_stage1_frames(series, 50.0, Gender.MALE, certain=0)
     assert [f.window_start for f in frames] == [0, 1, 2]
-    lookup = {o.month: o.value for o in series.observations}
-    assert [f.target for f in frames] == [normalize(lookup[m]) for m in (13, 14, 15)]
+    lookup, _ = _months(series)
+    assert [f.target for f in frames] == [normalize(lookup[m][0]) for m in (13, 14, 15)]
     assert all(f.gap == 0 for f in frames)
 
 
@@ -54,6 +62,9 @@ def test_stage1_certainty_filter():
 
 def test_stage1_short_series_empty():
     assert build_stage1_frames(_interp([0, 3, 6, 9, 12]), 50.0, Gender.MALE, 0) == []
+    pair = _interp([0, 30])  # a one-month zone: no frame of either stage
+    assert build_stage1_frames(pair, 50.0, Gender.MALE, 0) == []
+    assert build_stage2_frame(pair, 50.0, Gender.MALE) is None
 
 
 def test_stage1_monotone_in_certain():
@@ -72,8 +83,7 @@ def test_stage2_example():
     assert frame is not None
     assert frame.window_start == 3
     assert frame.gap == 2
-    lookup = {o.month: o.value for o in series.observations}
-    assert frame.target == normalize(lookup[18])
+    assert frame.target == normalize(_months(series)[0][18][0])
 
 
 def test_stage2_adjacent_final_observations():
@@ -92,13 +102,24 @@ def test_stage2_window_before_first_observation():
     assert build_stage2_frame(series, 50.0, Gender.MALE) is None
 
 
+def test_stage2_needs_a_13_month_zone():
+    exact = _interp([5, 9, 17, 20])  # zone 5..17: 13 months
+    assert len(exact.values) == FRAME_SPAN
+    frame = build_stage2_frame(exact, 50.0, Gender.MALE)
+    assert frame.window_start == exact.first == 5
+    assert (frame.gap, frame.real_count) == (2, 3)
+    short = _interp([5, 9, 16, 20])  # zone 5..16: 12 months
+    assert len(short.values) == FRAME_SPAN - 1
+    assert build_stage2_frame(short, 50.0, Gender.MALE) is None
+
+
 def _random_interpolated_series(rng):
     n = int(rng.integers(3, 12))
     months = np.unique(rng.integers(0, 45, n)).tolist()
     while len(months) < 3:
         months = np.unique(rng.integers(0, 45, n + 2)).tolist()
     values = rng.uniform(60, 150, len(months)).tolist()
-    obs = [Observation(m, v, True) for m, v in zip(months, values)]
+    obs = [Observation(m, v) for m, v in zip(months, values)]
     series = LabSeries("PX", LabParameter.GLUCOSE_AC, obs)
     return interpolate_series(series, InterpMethod.LINEAR)
 
@@ -117,8 +138,7 @@ def test_stage1_never_leaks_past_m():
     rng = np.random.default_rng(123)
     for _ in range(100):
         series = _random_interpolated_series(rng)
-        real = series.real_months()
-        m = real[-2]
+        m = _months(series)[1][-2]
         for frame in build_stage1_frames(series, 44.0, Gender.FEMALE, 0):
             assert frame.window_start + FRAME_SPAN <= m  # window and target
 
@@ -129,7 +149,7 @@ def test_frame_matrix_contents():
     assert frame.input.shape == (12, 5)
     # age advances to the window start before log1p
     assert frame.input[0, 0] == pytest.approx(math.log1p(50.0 + 1 / 12.0))
-    lookup = {o.month: (o.value, o.is_real) for o in series.observations}
+    lookup, _ = _months(series)
     for row, month in enumerate(range(1, 13)):
         assert frame.input[row, 4] == pytest.approx(math.log1p(lookup[month][0]))
         assert frame.input[row, 2] == (1.0 if lookup[month][1] else 0.0)
@@ -138,8 +158,7 @@ def test_frame_matrix_contents():
 def _per_frame_stage1(series, age, gender, certain):
     """Stage-1 frames built one at a time: a month lookup and a single-window
     `encode_frame` per frame, every target normalized before the filter."""
-    lookup = {o.month: (o.value, o.is_real) for o in series.observations}
-    real = series.real_months()
+    lookup, real = _months(series)
     if len(real) < 3:
         return []
     first, m = real[0], real[-2]
@@ -156,8 +175,7 @@ def _per_frame_stage1(series, age, gender, certain):
 
 
 def _per_frame_stage2(series, age, gender):
-    lookup = {o.month: (o.value, o.is_real) for o in series.observations}
-    real = series.real_months()
+    lookup, real = _months(series)
     if len(real) < 2:
         return None
     first, m, n = real[0], real[-2], real[-1]
@@ -194,7 +212,7 @@ def test_frames_match_per_frame_construction_bit_for_bit(method):
         if len(months) < 3:
             continue
         values = rng.uniform(1.0, 150.0, len(months)).tolist()
-        obs = [Observation(m, v, True) for m, v in zip(months, values)]
+        obs = [Observation(m, v) for m, v in zip(months, values)]
         series = interpolate_series(LabSeries(f"P{k}", LabParameter.WBC, obs), method)
         age, gender = float(rng.uniform(18, 90)), [Gender.MALE, Gender.FEMALE][k % 2]
         for certain in (0, 3):
@@ -216,11 +234,3 @@ def test_frames_match_per_frame_construction_bit_for_bit(method):
     if method is InterpMethod.BARYCENTRIC:
         assert raised > 0  # overshoot below zero is covered
 
-
-def test_uninterpolated_series_is_rejected():
-    obs = [Observation(m, 100.0, True) for m in (0, 3, 6, 9, 12, 15, 18)]
-    series = LabSeries("P1", LabParameter.GLUCOSE_AC, obs)
-    with pytest.raises(ValueError, match="interpolated first"):
-        build_stage1_frames(series, 50.0, Gender.MALE, 0)
-    with pytest.raises(ValueError, match="interpolated first"):
-        build_stage2_frame(series, 50.0, Gender.MALE)

@@ -119,45 +119,80 @@ def test_barycentric_many_nodes_uses_local_windows():
 
 def _series(months, values=None):
     values = values if values is not None else [100.0 + m for m in months]
-    obs = [Observation(m, v, True) for m, v in zip(months, values)]
+    obs = [Observation(m, v) for m, v in zip(months, values)]
     return LabSeries("P1", LabParameter.GLUCOSE_AC, obs)
 
 
 def test_interpolate_series_fills_to_second_last():
     series = _series([0, 3, 6])
     out = interpolate_series(series, InterpMethod.LINEAR)
-    months = [o.month for o in out.observations]
-    assert months == [0, 1, 2, 3, 6]
-    flags = {o.month: o.is_real for o in out.observations}
-    assert flags == {0: True, 1: False, 2: False, 3: True, 6: True}
-    assert out.observations[1].value == pytest.approx(101.0)
+    assert out.first == 0
+    assert out.is_real.tolist() == [True, False, False, True]
+    assert out.values[1] == pytest.approx(101.0)
+    assert out.last == series.observations[-1]
 
 
 def test_interpolate_dense_series_unchanged():
     series = _series([0, 1, 2, 3, 4])
     out = interpolate_series(series, InterpMethod.PCHIP)
-    assert out.observations == series.observations
+    assert out.values.tolist() == [o.value for o in series.observations[:-1]]
+    assert out.is_real.all()
+    assert out.last == series.observations[-1]
 
 
 def test_interpolate_two_observations_unchanged():
     series = _series([0, 9])
     for method in InterpMethod:
-        assert interpolate_series(series, method) is series
+        out = interpolate_series(series, method)
+        assert (out.first, out.values.tolist(), out.is_real.tolist()) == (0, [100.0], [True])
+        assert out.last is series.observations[-1]
+
+
+def _random_months_and_values(rng):
+    n = int(rng.integers(3, 10))
+    months = np.unique(rng.integers(0, 40, n)).tolist()
+    return months, rng.uniform(50, 150, len(months)).tolist()
 
 
 @pytest.mark.parametrize("method", list(InterpMethod))
 def test_interpolate_never_touches_real_values(method):
     rng = np.random.default_rng(5)
     for _ in range(30):
-        n = int(rng.integers(3, 10))
-        months = np.unique(rng.integers(0, 40, n)).tolist()
+        months, values = _random_months_and_values(rng)
         if len(months) < 3:
             continue
-        values = rng.uniform(50, 150, len(months)).tolist()
+        out = interpolate_series(_series(months, values), method)
+        # dense coverage from the first to the second-to-last real month
+        assert (out.first, len(out.values)) == (months[0], months[-2] - months[0] + 1)
+        offsets = np.array(months[:-1]) - months[0]
+        assert np.flatnonzero(out.is_real).tolist() == offsets.tolist()
+        assert out.values[offsets].tolist() == values[:-1]
+        assert (out.last.month, out.last.value) == (months[-1], values[-1])
+
+
+def _public_fill(method, points):
+    if method is InterpMethod.LINEAR:
+        return {t: linear_at(*a, *b, t)
+                for a, b in zip(points, points[1:]) for t in range(int(a[0]), int(b[0]))}
+    return (pchip_fill if method is InterpMethod.PCHIP else barycentric_fill)(points)
+
+
+@pytest.mark.parametrize("method", list(InterpMethod))
+def test_series_values_equal_the_public_fills_bit_for_bit(method):
+    """Every filled month equals what the public fill gives for it (`linear_at`
+    per segment, `pchip_fill`, `barycentric_fill`), observed months keep their
+    values, and the last observation is left as it was."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(60):
+        months, values = _random_months_and_values(rng)
+        if len(months) < 3:
+            continue
         series = _series(months, values)
         out = interpolate_series(series, method)
-        real = {o.month: o.value for o in out.observations if o.is_real}
-        assert real == dict(zip(months, values))
-        # dense coverage up to the second-to-last real month
-        got = sorted(o.month for o in out.observations)
-        assert got == sorted(set(range(months[0], months[-2] + 1)) | {months[-1]})
+        points = [(float(t), y) for t, y in zip(months[:-1], values[:-1])]
+        expected = {**_public_fill(method, points), **dict(zip(months[:-1], values[:-1]))}
+        assert dict(zip(range(out.first, out.first + len(out.values)), out.values.tolist())) == expected
+        assert out.last is series.observations[-1]
+        checked += 1
+    assert checked > 40
