@@ -5,7 +5,7 @@ arrays `values` and `is_real`, and the final observation `last` at month n.
 Every frame is a slice of those arrays. A frame spans 13 consecutive months
 [i, i+12]; its input matrix encodes the first 12 of them and its prediction
 target sits one month past the span, at i+13. With m the month of the
-second-to-last real observation and n the month of the last one:
+second-to-last observation and n the month of the last one:
 
 * first-stage frames slide i one month at a time while i+12 <= m-1 and the
   target month i+13 <= m, so neither the window nor the target ever touches

@@ -1,7 +1,7 @@
 """Interpolation of missing integer months inside a lab series.
 
 Three methods fill the months between the first observation and the
-second-to-last real observation:
+second-to-last observation:
 
 * linear: straight line through the two straddling observations;
 * pchip: shape-preserving cubic Hermite. The slope at an interior knot is 0

@@ -5,9 +5,7 @@ the other, and prints one JSON object mapping each config name to its
 manifest's `{artifact: sha256}`. Run it in two checkouts and diff the
 outputs: a refactor that keeps behaviour leaves every value unchanged.
 
-    python tools/determinism.py                  # all nine configs
-    python tools/determinism.py study-s3 sweep   # a subset, by name
-    python tools/determinism.py --work DIR       # keep the run directories
+    python tools/determinism.py > artifacts.json
 
 BLAS is pinned to one thread, so float reductions are ordered the same way
 from run to run. The default config alone takes minutes; the others seconds.
@@ -15,7 +13,6 @@ from run to run. The default config alone takes minutes; the others seconds.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
@@ -66,22 +63,6 @@ def run(name: str, work: Path) -> dict[str, str]:
     return json.loads((out / "manifest.json").read_text())["artifacts"]
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", metavar="NAME",
-                        help=f"configs to run (default: all of {', '.join(CONFIGS)})")
-    parser.add_argument("--work", type=Path, help="directory for the runs (default: a temporary one)")
-    args = parser.parse_args(argv)
-    unknown = sorted(set(args.names) - set(CONFIGS))
-    if unknown:
-        parser.error(f"unknown config: {', '.join(unknown)}")
-    return args
-
-
 if __name__ == "__main__":
-    args = parse_args()
-    names = args.names or list(CONFIGS)
     with tempfile.TemporaryDirectory() as tmp:
-        work = args.work or Path(tmp)
-        work.mkdir(parents=True, exist_ok=True)
-        print(json.dumps({name: run(name, work) for name in names}, indent=2, sort_keys=True))
+        print(json.dumps({name: run(name, Path(tmp)) for name in CONFIGS}, indent=2, sort_keys=True))
