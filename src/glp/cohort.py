@@ -47,9 +47,9 @@ class LabParameter(Enum):
 PARAMETER_ORDER: tuple[LabParameter, ...] = tuple(LabParameter)
 
 # The longest span the readers' accepted age range [18, 110] allows. It bounds
-# a pretext month (so the generator's `months_span` too) and an episodic gap:
-# interpolation fills every month up to the last and feature extraction
-# unrolls every record to the largest gap.
+# a pretext month (so the generator's `months_span` too) and an episodic gap
+# (so each gap the generator draws): interpolation fills every month up to the
+# last and feature extraction unrolls every record to the largest gap.
 MAX_MONTHS = 12 * (110 - 18)
 
 # episodic CSV column name per parameter
@@ -228,6 +228,8 @@ def generate_downstream_cohort(spec: DownstreamSpec) -> list[EpisodicRecord]:
         raise ConfigError("n_positive and n_negative must be >= 1")
     if spec.separation < 0:
         raise ConfigError("separation must be >= 0")
+    if not (1 <= spec.g_mean_positive <= MAX_MONTHS and 1 <= spec.g_mean_negative <= MAX_MONTHS):
+        raise ConfigError(f"g_mean_positive and g_mean_negative must be in [1, {MAX_MONTHS}]")
 
     records = []
     plan = [(True, spec.n_positive, spec.g_mean_positive), (False, spec.n_negative, spec.g_mean_negative)]
@@ -242,7 +244,7 @@ def generate_downstream_cohort(spec: DownstreamSpec) -> list[EpisodicRecord]:
                 mean, sd, _, _, _ = _PROCESS[parameter]
                 scatter = sd * (1.0 + spec.separation) if label else sd
                 values[parameter] = max(mean + rng.normal(0.0, scatter), 0.05 * mean)
-            gap = int(1 + rng.poisson(max(g_mean - 1.0, 0.0)))
+            gap = min(int(1 + rng.poisson(g_mean - 1.0)), MAX_MONTHS)
             records.append(EpisodicRecord(f"D{index:05d}", age, gender, values, gap, label))
             index += 1
     return records

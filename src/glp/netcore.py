@@ -25,7 +25,9 @@ copy the views apart from the vector, so a model pickles as its vector alone
 and rebuilds the views when it is unpickled (as it is on return from a
 worker process).
 
-A (M, 516) vector is a stack of M models: its views carry the leading M axis.
+A (M, 516) vector is a stack of M models: its views carry the leading M axis,
+and its `parameter` carries one lab parameter per model, a tuple of M (one
+parameter alone stands for all M); a stack's `certain` is not read.
 The forward functions (`libc_forward`, `regressor_forward`, `next_input`,
 `rollout_forward`) run all M at once, on one shared (B, 12, 5) input batch or
 on one (M, B, 12, 5) batch per model, giving outputs with a leading M axis.
@@ -137,7 +139,7 @@ def param_views(buf: np.ndarray) -> tuple[LibcParams, RegressorParams]:
 
 @dataclass
 class GlpModel:
-    parameter: LabParameter
+    parameter: LabParameter | tuple[LabParameter, ...]  # a stack's: one per model
     certain: int
     vector: np.ndarray  # (516,) float64, the only storage of the weights
     libc: LibcParams = field(init=False, repr=False, compare=False)
@@ -350,16 +352,24 @@ def regressor_backward(p: RegressorParams, tr: RegressorTrace, d_y: np.ndarray,
 # rollout graph
 
 
-def next_input(out: np.ndarray, x0: np.ndarray, parameter: LabParameter) -> np.ndarray:
+def next_input(out: np.ndarray, x0: np.ndarray, parameter) -> np.ndarray:
     """Reproject an encoder output onto the frame-encoding manifold so it can
     feed the next application: age/gender held from the original frame, flag
     0 (estimated), discrete code recomputed from the denormalized value.
-    `out` may carry leading model axes over the (B, 12, 5) shape of `x0`."""
+    `out` may carry a leading model axis over the (B, 12, 5) shape of `x0`:
+    `parameter` is then one lab parameter for every model or a tuple naming
+    each model's, and each parameter's models are coded on its thresholds."""
     nxt = np.empty_like(out)
     nxt[..., 0] = x0[..., 0:1, 0]
     nxt[..., 1] = x0[..., 0:1, 1]
     nxt[..., 2] = 0.0
-    nxt[..., 3] = discrete_codes(parameter, np.expm1(out[..., 4]))
+    values = np.expm1(out[..., 4])
+    if isinstance(parameter, LabParameter):
+        nxt[..., 3] = discrete_codes(parameter, values)
+    else:
+        for own in dict.fromkeys(parameter):
+            rows = np.array([p is own for p in parameter])
+            nxt[rows, ..., 3] = discrete_codes(own, values[rows])
     nxt[..., 4] = out[..., 4]
     return nxt
 
@@ -495,14 +505,15 @@ def save_weights(model: GlpModel, path) -> None:
 
 
 def load_weights(path) -> GlpModel:
+    expected = _HEADER.size + n_parameters() * 8 + 4
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            blob = fh.read(expected + 1)  # one byte past the size tells an oversized file
     except OSError as exc:
         raise IntegrityError(f"{path}: unreadable ({exc.strerror})")
-    expected = _HEADER.size + n_parameters() * 8 + 4
     if len(blob) != expected:
-        raise IntegrityError(f"{path}: truncated or oversized ({len(blob)} bytes, want {expected})")
+        raise IntegrityError(f"{path}: truncated or oversized ({len(blob)} bytes read, "
+                             f"want {expected})")
     payload, (stored,) = blob[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) != stored:
         raise IntegrityError(f"{path}: checksum failure")

@@ -20,17 +20,17 @@ supervised training batch for batch.
 Every training function takes a list of `Fit`s, a stack, and one model is a
 stack of one. Each model keeps its own data, random stream, schedule and
 optimizer state; at each step the models whose next batches share batch
-length and gap (and parameter, when the batch rolls out) take one stacked
-`netcore` step. A stacked step computes for each model exactly the bits of
-its solo step, so a model trains to the same weights whatever stack it is
-in. Cross-validation trains every (parameter, threshold, fold) fit of a run
-as one stack and `train_final_models` the six final models as another; with
-`jobs` > 1 a stack is split into `jobs` stacks, one per worker process.
+length and gap take one stacked `netcore` step, whatever their parameters.
+A stacked step computes for each model exactly the bits of its solo step, so
+a model trains to the same weights whatever stack it is in. Cross-validation
+trains every (parameter, threshold, fold) fit of a run as one stack and
+`train_final_models` the six final models as another; with `jobs` > 1 a
+stack is split into `jobs` stacks, one per worker process.
 `assemble_frames` stacks each parameter's frames once into a `FrameSet`,
 the first-stage frames at the smallest threshold trained; each fit holds
-index rows into them, filtered by its own threshold. The held-out rollout
-frames are one set per parameter, and the final models reuse the training
-sets from the `PretrainReport`.
+index rows into them, filtered by its own threshold. The held-out split is
+framed for rollouts only, one set per parameter, and the final models reuse
+the training sets from the `PretrainReport`.
 
 Validation holds out a patient-level test split once per seed, rotates folds
 inside the training split for repetition, and scores rollout forecasts of
@@ -233,11 +233,11 @@ def _lockstep(
 
     Model i takes the batches of `sources[i]` drawn from `rngs[i]`, exactly
     its solo schedule. At each step the models still training are grouped by
-    batch length and gap, and by parameter when gap > 0 (the rollout
-    re-encodes per parameter); each group, in chunks of at most `_MAX_STACK`
-    models, takes one stacked loss-and-gradient call and one stacked Adam
-    update. A model whose schedule has ended leaves the groups: nothing is
-    padded or masked, so every model's arithmetic is that of its solo fit.
+    batch length and gap; each group, in chunks of at most `_MAX_STACK`
+    models, takes one stacked loss-and-gradient call on a stack that names
+    each member's parameter, and one stacked Adam update. A model whose
+    schedule has ended leaves the groups: nothing is padded or masked, so
+    every model's arithmetic is that of its solo fit.
     """
     vectors = np.stack([model.vector for model in models])
     adam = nc.AdamState.create(vectors.shape, config.learning_rate)
@@ -251,13 +251,12 @@ def _lockstep(
                 del pending[i]
                 continue
             data, rows, gap = batch
-            key = (len(rows), gap, models[i].parameter if gap else None)
-            groups.setdefault(key, []).append((i, data, rows))
-        for (_, gap, _), group in groups.items():
+            groups.setdefault((len(rows), gap), []).append((i, data, rows))
+        for (_, gap), group in groups.items():
             for start in range(0, len(group), _MAX_STACK):
                 members = group[start : start + _MAX_STACK]
                 idx = np.array([i for i, _, _ in members])
-                stack = nc.GlpModel(models[idx[0]].parameter, 0, vectors[idx])
+                stack = nc.GlpModel(tuple(models[i].parameter for i in idx), 0, vectors[idx])
                 x0 = np.stack([data.x[rows] for _, data, rows in members])
                 targets = np.stack([data.targets[rows] for _, data, rows in members])
                 losses, grads = nc.rollout_loss_and_grads(stack, x0, targets, gap)
@@ -532,11 +531,12 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
     held_out: dict[LabParameter, FrameSet] = {}
     fits = []
     for parameter in config.parameters:
-        # the caches are dropped at once: only the stacked sets outlive framing
-        held_out[parameter] = assemble_frames(
-            build_frame_cache(test, parameter, config.interp), test, certain=0)[1]
+        rollouts = (build_stage2_frame(interpolate_series(p.series[parameter], config.interp),
+                                       p.age_at_start, p.gender) for p in test)
+        held_out[parameter] = FrameSet.of([frame for frame in rollouts if frame is not None])
         if len(held_out[parameter]) < 2:
             raise ConfigError("test split yields fewer than 2 rollout frames")
+        # the cache is dropped at once: only the stacked sets outlive framing
         stage1, stage2 = frames[parameter] = assemble_frames(
             build_frame_cache(train, parameter, config.interp), train, min(certains))
         for certain in certains:

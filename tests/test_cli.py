@@ -41,6 +41,13 @@ def test_synth_rejects_a_months_span_the_reader_would_reject(tmp_path):
     assert not (out / "pretext.csv").exists()
 
 
+def test_synth_rejects_a_gap_mean_the_reader_would_reject(tmp_path):
+    downstream = {"n_positive": 8, "n_negative": 24, "g_mean_negative": 5000}
+    config, out = tiny_config(tmp_path, downstream=downstream)
+    assert main(["synth", "--config", str(config)]) == 2
+    assert not list(out.glob("*.csv"))
+
+
 def test_pretrain_requires_synth(tmp_path):
     config, _ = tiny_config(tmp_path)
     assert main(["pretrain", "--config", str(config)]) == 3
@@ -104,6 +111,14 @@ def test_verify_flags_corruption(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.glp")]) == 5
     assert main(["verify", str(out)]) == 5  # a directory is not a weight file
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_rejects_an_oversized_weight_file(tmp_path, capsys):
+    target = tmp_path / "weights_UA.glp"
+    with open(target, "wb") as fh:
+        fh.truncate(512 << 20)  # sparse: 512 MiB long, no data written
+    assert main(["verify", str(target)]) == 5
+    assert "oversized" in capsys.readouterr().out
 
 
 def test_verify_rejects_non_finite_weights(tmp_path, capsys):

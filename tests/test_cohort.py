@@ -56,6 +56,21 @@ def test_months_span_bounded_by_what_the_reader_accepts(tmp_path):
     assert not result.rejected_rows and len(result.patients) == 2
 
 
+def test_downstream_gaps_bounded_by_what_the_reader_accepts(tmp_path):
+    for means in [(0.5, 106.0), (9.0, MAX_MONTHS + 1), (9.0, 5000.0), (9.0, float("nan"))]:
+        with pytest.raises(ConfigError, match="g_mean"):
+            generate_downstream_cohort(DownstreamSpec(2, 5, seed=1, g_mean_positive=means[0],
+                                                      g_mean_negative=means[1]))
+    # at a mean of MAX_MONTHS about half the Poisson draws pass it: each is capped
+    records = generate_downstream_cohort(DownstreamSpec(
+        n_positive=4, n_negative=48, seed=1, g_mean_positive=1.0, g_mean_negative=MAX_MONTHS))
+    assert {r.gap_months for r in records[:4]} == {1}
+    assert max(r.gap_months for r in records) == MAX_MONTHS
+    write_episodic_csv(records, tmp_path / "episodic.csv")
+    result = read_episodic_csv(tmp_path / "episodic.csv")
+    assert not result.rejected_rows and len(result.records) == 52
+
+
 def test_generator_determinism_byte_identical(tmp_path):
     spec = GeneratorSpec(n_patients=6, months_span=30, dropout_prob=0.2, seed=11)
     a = generate_pretext_cohort(spec)

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from glp import netcore as nc
 from glp.cohort import LabParameter
+from glp.encoding import discrete_codes
 from glp.errors import IntegrityError, TrainingError
 from helpers import gradient_check, make_glucose_batch, views_alias_vector
 
@@ -109,36 +111,89 @@ def test_regressor_output_scalar():
     assert pred.shape == (6,)
 
 
-@pytest.mark.parametrize("gap", [0, 3])
-def test_stacked_models_match_single_models(gap):
-    singles = [random_model(seed) for seed in (20, 21, 22)]
-    stacked = nc.GlpModel(LabParameter.GLUCOSE_AC, 0, np.stack([m.vector for m in singles]))
+# A stack of two parameters, each model's encoder value output pinned just past
+# one of its own parameter's code thresholds, where the other parameter's
+# thresholds give another code: a rollout recoded with the wrong thresholds
+# changes the next application's input. (No float's expm1 lands exactly on
+# 4.0, 9.0 or 100.0, so a recoded value cannot sit on these thresholds.)
+MIXED = ((LabParameter.WBC, 4.0), (LabParameter.GLUCOSE_AC, 100.0), (LabParameter.WBC, 9.0))
+ON_THRESHOLDS = np.array([4.0, 9.0, 100.0, 125.0])
+
+
+def mixed_models(seed):
+    models = []
+    for k, (parameter, threshold) in enumerate(MIXED):
+        model = random_model(seed + k, parameter)
+        value = np.log1p(threshold)
+        while np.expm1(value) <= threshold:
+            value = np.nextafter(value, np.inf)
+        model.libc.w_c[4] = 0.0
+        model.libc.b_c[4] = value
+        models.append(model)
+    return models
+
+
+def threshold_batch(parameter, batch, rng):
+    """Frames whose values lie exactly on WBC's and GLUCOSE_AC's thresholds,
+    coded for `parameter`."""
+    x, targets = make_glucose_batch(batch, rng)
+    values = rng.choice(ON_THRESHOLDS, size=(batch, 12))
+    x[:, :, 3] = discrete_codes(parameter, values)
+    x[:, :, 4] = np.log1p(values)
+    return x, targets
+
+
+def stack_of(singles, mixed):
+    parameter = tuple(m.parameter for m in singles) if mixed else LabParameter.GLUCOSE_AC
+    return nc.GlpModel(parameter, 0, np.stack([m.vector for m in singles]))
+
+
+@pytest.mark.parametrize("gap, mixed", [
+    pytest.param(0, False, id="0"), pytest.param(3, False, id="3"),
+    pytest.param(0, True, id="mixed-0"), pytest.param(3, True, id="mixed-3"),
+])
+def test_stacked_models_match_single_models(gap, mixed):
+    singles = mixed_models(20) if mixed else [random_model(seed) for seed in (20, 21, 22)]
+    stacked = stack_of(singles, mixed)
     assert views_alias_vector(stacked)
-    x, _ = make_glucose_batch(4, np.random.default_rng(gap))
+    rng = np.random.default_rng(gap)
+    x, _ = threshold_batch(LabParameter.WBC, 4, rng) if mixed else make_glucose_batch(4, rng)
+    if mixed:  # each model's recoded values sit where the two parameters' codes differ
+        out, _ = nc.libc_forward(stacked.libc, x)
+        codes = nc.next_input(out, x, stacked.parameter)[..., 3]
+        assert [np.unique(c).tolist() for c in codes] == [[1.0], [1.0], [2.0]]
     at = tuple(np.full(4, k) for k in range(1, max(gap, 1) + 1))
     pred, latents, _, _ = nc.rollout_forward(stacked, x, gap, at=at)
     assert pred.shape == (3, 4) and len(latents) == max(gap, 1)
     for m, single in enumerate(singles):
         pred_m, latents_m, _, _ = nc.rollout_forward(single, x, gap, at=at)
-        np.testing.assert_allclose(pred[m], pred_m, rtol=0, atol=1e-12)
-        for latent, latent_m in zip(latents, latents_m):
-            np.testing.assert_allclose(latent[m], latent_m, rtol=0, atol=1e-12)
+        assert np.array_equal(pred[m], pred_m)
+        assert all(np.array_equal(latent[m], latent_m) for latent, latent_m in zip(latents, latents_m))
 
 
-@pytest.mark.parametrize("gap", [0, 3, 6])
-def test_stacked_gradients_match_single_models(gap):
+@pytest.mark.parametrize("gap, mixed", [
+    pytest.param(0, False, id="0"), pytest.param(3, False, id="3"),
+    pytest.param(6, False, id="6"), pytest.param(0, True, id="mixed-0"),
+    pytest.param(3, True, id="mixed-3"), pytest.param(6, True, id="mixed-6"),
+])
+def test_stacked_gradients_match_single_models(gap, mixed):
     """One batch per model: the stacked loss, (M, 516) gradient and Adam
-    update equal M single-model calls bit for bit."""
+    update equal M single-model calls bit for bit, also for a stack of two
+    parameters."""
     rng = np.random.default_rng(40 + gap)
-    singles = [random_model(seed) for seed in (40, 41, 42, 43)]
-    batches = [make_glucose_batch(5, rng) for _ in singles]
+    if mixed:
+        singles = mixed_models(40)
+        batches = [threshold_batch(m.parameter, 5, rng) for m in singles]
+    else:
+        singles = [random_model(seed) for seed in (40, 41, 42, 43)]
+        batches = [make_glucose_batch(5, rng) for _ in singles]
     x0 = np.stack([x for x, _ in batches])
     targets = np.stack([t for _, t in batches])
-    stacked = nc.GlpModel(LabParameter.GLUCOSE_AC, 0, np.stack([m.vector for m in singles]))
+    stacked = stack_of(singles, mixed)
     losses, grads = nc.rollout_loss_and_grads(stacked, x0, targets, gap)
-    assert losses.shape == (4,) and grads.shape == (4, 516)
+    assert losses.shape == (len(singles),) and grads.shape == (len(singles), 516)
     state = nc.AdamState.create(grads.shape)
-    state.step[:] = [0, 3, 17, 250]
+    state.step[:] = [0, 3, 17, 250][: len(singles)]
     state.m[:] = rng.normal(size=grads.shape)
     state.v[:] = rng.uniform(size=grads.shape)
     updated, after = nc.adam_step(stacked.vector, grads, state)
@@ -282,6 +337,20 @@ def test_weight_file_truncation_detected(tmp_path):
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(IntegrityError, match="truncated"):
         nc.load_weights(path)
+
+
+def test_oversized_weight_file_rejected_in_bounded_memory(tmp_path):
+    path = tmp_path / "m.glp"
+    nc.save_weights(random_model(16), path)
+    os.truncate(path, 512 << 20)  # a sparse 512 MiB tail
+    tracemalloc.start()
+    try:
+        with pytest.raises(IntegrityError, match="oversized"):
+            nc.load_weights(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_weight_file_bad_magic_and_version(tmp_path):

@@ -231,6 +231,35 @@ def test_cross_validate_report(small_cohort):
     assert again.parameters["WBC"].per_fold_r2 == result.per_fold_r2
 
 
+def test_held_out_split_is_framed_for_rollouts_only(small_cohort, monkeypatch):
+    """Stage-1 framing reads only the training split; each fit is scored on
+    the rollout frames of the held-out patients' full frame caches, in order."""
+    config = TrainConfig(epochs=1, seed=9, folds=2, parameters=(LabParameter.WBC,))
+    framed, build = [], pipeline.build_stage1_frames
+    scored, evaluate = [], pipeline.evaluate_r2
+
+    def recorded_build(series, *args, **kwargs):
+        framed.append(series.patient_id)
+        return build(series, *args, **kwargs)
+
+    def recorded_evaluate(model, data):
+        scored.append(data)
+        return evaluate(model, data)
+
+    monkeypatch.setattr(pipeline, "build_stage1_frames", recorded_build)
+    monkeypatch.setattr(pipeline, "evaluate_r2", recorded_evaluate)
+    cross_validate(small_cohort, config)
+    train, test = split_cohort(small_cohort, config.split_ratio, config.seed)
+    assert sorted(framed) == sorted(p.patient_id for p in train)
+    monkeypatch.undo()
+    _, cached = assemble_frames(build_frame_cache(test, LabParameter.WBC, config.interp), test, 0)
+    assert len(scored) == 4 and len(cached) >= 2  # two folds, final and intermediate
+    for held_out in scored:
+        for name in ("x", "targets", "gaps", "real_counts", "rows"):
+            assert np.array_equal(getattr(held_out, name), getattr(cached, name))
+        assert held_out.patient_rows == cached.patient_rows
+
+
 def test_cross_validate_rejects_too_few_patients():
     patients = generate_pretext_cohort(GeneratorSpec(n_patients=5, seed=3))
     config = TrainConfig(folds=5, parameters=(LabParameter.WBC,))
@@ -313,7 +342,8 @@ def test_lockstep_stack_matches_solo_fits(small_cohort, monkeypatch):
     """Ragged schedules in one stack: different frame counts, both sources of
     hybrid, rollout gaps 0 to 5, two parameters, models that finish early.
     Each model's weights and per-batch losses equal its solo fit bit for bit,
-    also when a group wider than the stack cap steps in chunks."""
+    also when a group wider than the stack cap steps in chunks, and rollout
+    steps stack models of both parameters."""
     frames = {}
     for parameter in (LabParameter.WBC, LabParameter.GLUCOSE_AC):
         frames[parameter] = frame_lists(build_frame_cache(small_cohort, parameter, InterpMethod.LINEAR))
@@ -328,15 +358,25 @@ def test_lockstep_stack_matches_solo_fits(small_cohort, monkeypatch):
         ]
         for s1, s2 in [frames[parameter]]
     ]
-    # equal seeds and sizes: these two meet at gap 2 at the same steps and must
-    # still run apart, each rollout re-encoded for its own parameter
+    # equal seeds and sizes: these two meet at gap 2 at the same steps and roll
+    # out in one stacked step, each recoded with its own parameter's thresholds
     fits += [fit_of(frames[parameter][0][:30], gap2[parameter], 5, parameter)
              for parameter in gap2]
     assert len({g for fit in fits for g in fit.stage2.gaps[fit.stage2.rows]}) > 2
     models = [_scaled_init(fit, fit.stage1, fit.stage2) for fit in fits]
     sources = [[fit.stage1, fit.stage2] for fit in fits]
     rngs = lambda: [rng_from(fit.seed, "fit") for fit in fits]  # noqa: E731
+    rollout_parameters, step = [], nc.rollout_loss_and_grads
+
+    def recorded_step(model, x0, targets, gap):
+        if gap:
+            parameter = model.parameter
+            rollout_parameters.append(set(parameter if isinstance(parameter, tuple) else [parameter]))
+        return step(model, x0, targets, gap)
+
+    monkeypatch.setattr(nc, "rollout_loss_and_grads", recorded_step)
     stacked, histories = _lockstep(models, sources, rngs(), config)
+    assert {LabParameter.WBC, LabParameter.GLUCOSE_AC} in rollout_parameters
     assert len({len(h) for h in histories}) > 2
     monkeypatch.setattr(pipeline, "_MAX_STACK", 3)  # 7 fits: gap-0 groups split
     chunked, chunked_histories = _lockstep(models, sources, rngs(), config)
