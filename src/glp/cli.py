@@ -27,11 +27,13 @@ import copy
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
+from .artifacts import write_json
 from .cohort import (
     PARAMETER_ORDER,
     DownstreamSpec,
@@ -50,16 +52,16 @@ from .pipeline import (
     TrainConfig,
     TrainMethod,
     cross_validate,
+    report_to_dict as pretrain_report_to_dict,
     sweep_certain,
     train_final_models,
     write_certain_grid_csv,
-    write_pretrain_report,
 )
 from .seeding import derive_seed
 from .transfer import (
+    report_to_dict as downstream_report_to_dict,
     run_downstream_study,
     write_distribution_csv,
-    write_downstream_report,
     write_downstream_table_csv,
 )
 
@@ -105,6 +107,8 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key: {where}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
         if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be an object")
@@ -132,6 +136,8 @@ def load_config(path: str | None) -> dict:
         raise MissingArtifactError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError("config file nests too deeply")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return _merge(DEFAULT_CONFIG, data)
@@ -201,9 +207,7 @@ def _write_manifest(out_dir: Path, config: dict, artifacts: dict[str, Path]) -> 
         "versions": {"package": __version__, "weight_format": FORMAT_VERSION},
     }
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 
@@ -257,7 +261,7 @@ def cmd_pretrain(config: dict) -> dict[str, Path]:
         artifacts[path.name] = path
     report_path = out_dir / "pretrain_report.json"
     grid_path = out_dir / "certain_grid.csv"
-    write_pretrain_report(report, report_path)
+    write_json(report_path, pretrain_report_to_dict(report))
     write_certain_grid_csv(report, grid_path)
     artifacts["pretrain_report.json"] = report_path
     artifacts["certain_grid.csv"] = grid_path
@@ -295,7 +299,7 @@ def cmd_transfer(config: dict) -> dict[str, Path]:
     report_path = out_dir / "downstream_report.json"
     table_path = out_dir / "downstream_table.csv"
     dist_path = out_dir / "distribution.csv"
-    write_downstream_report(report, report_path)
+    write_json(report_path, downstream_report_to_dict(report))
     write_downstream_table_csv(report, table_path)
     write_distribution_csv(features, dist_path)
     logger.info(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from .artifacts import write_csv
 from .errors import ConfigError, SchemaError
 from .seeding import rng_from
 
@@ -290,37 +291,15 @@ def _parse_value(text: str) -> float:
     return value
 
 
-def _csv_writers(fh):
-    """A writer for rows ending in "\n", and one that quotes every field. The
-    first quotes only fields holding its line terminator, so a row whose
-    patient id holds a bare "\r", which readers take for a line end, must go
-    through the second."""
-    return (csv.writer(fh, lineterminator="\n"),
-            csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL))
-
-
 def write_cohort_csv(patients: list[Patient], path: str | Path) -> None:
     """One row per observation, months ascending within each series."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        plain, quoted = _csv_writers(fh)
-        plain.writerow(_PRETEXT_HEADER)
-        for patient in patients:
-            writer = quoted if "\r" in patient.patient_id else plain
-            for parameter in PARAMETER_ORDER:
-                series = patient.series.get(parameter)
-                if series is None:
-                    continue
-                for obs in series.observations:
-                    writer.writerow(
-                        [
-                            patient.patient_id,
-                            repr(patient.age_at_start),
-                            patient.gender.value,
-                            parameter.value,
-                            obs.month,
-                            repr(obs.value),
-                        ]
-                    )
+    write_csv(path, _PRETEXT_HEADER, (
+        [patient.patient_id, repr(patient.age_at_start), patient.gender.value,
+         parameter.value, obs.month, repr(obs.value)]
+        for patient in patients
+        for parameter in PARAMETER_ORDER if parameter in patient.series
+        for obs in patient.series[parameter].observations
+    ))
 
 
 @contextmanager
@@ -389,15 +368,12 @@ def read_cohort_csv(path: str | Path) -> CohortReadResult:
 
 
 def write_episodic_csv(records: list[EpisodicRecord], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        plain, quoted = _csv_writers(fh)
-        plain.writerow(_EPISODIC_HEADER)
-        for record in records:
-            (quoted if "\r" in record.patient_id else plain).writerow(
-                [record.patient_id, repr(record.age), record.gender.value]
-                + [repr(record.values[p]) for p in PARAMETER_ORDER]
-                + [record.gap_months, int(record.label)]
-            )
+    write_csv(path, _EPISODIC_HEADER, (
+        [record.patient_id, repr(record.age), record.gender.value]
+        + [repr(record.values[p]) for p in PARAMETER_ORDER]
+        + [record.gap_months, int(record.label)]
+        for record in records
+    ))
 
 
 def read_episodic_csv(path: str | Path) -> EpisodicReadResult:

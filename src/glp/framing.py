@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import Gender, LabParameter
+from .cohort import Gender
 from .encoding import FRAME_WIDTH, encode_frame, normalize
 from .interp import FilledSeries
 
@@ -37,7 +37,6 @@ _SPAN = np.arange(FRAME_SPAN)
 @dataclass
 class Frame:
     patient_id: str
-    parameter: LabParameter
     input: np.ndarray  # (12, 5)
     target: float  # normalized
     gap: int
@@ -64,7 +63,7 @@ def build_stage1_frames(
                          gender, series.values[spans[:, :FRAME_WIDTH]], real_spans[:, :FRAME_WIDTH])
     targets = [normalize(v) for v in series.values[FRAME_SPAN:].tolist()]
     return [
-        Frame(series.patient_id, series.parameter, block[row], target, 0, real_count, start)
+        Frame(series.patient_id, block[row], target, 0, real_count, start)
         for row, (start, target, real_count) in enumerate(
             zip(starts.tolist(), targets, real_spans.sum(axis=1).tolist()))
         if real_count >= certain
@@ -82,5 +81,5 @@ def build_stage2_frame(series: FilledSeries, age_at_start: float, gender: Gender
     values, flags = series.values[-FRAME_SPAN:], series.is_real[-FRAME_SPAN:]
     matrix = encode_frame(series.patient_id, series.parameter, age_at_start + start / 12.0,
                           gender, values[:FRAME_WIDTH], flags[:FRAME_WIDTH])
-    return Frame(series.patient_id, series.parameter, matrix, normalize(series.last.value),
+    return Frame(series.patient_id, matrix, normalize(series.last.value),
                  gap, int(flags.sum()), start)

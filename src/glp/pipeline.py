@@ -42,19 +42,18 @@ threshold).
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import partial
 
 import numpy as np
 
 from . import netcore as nc
+from .artifacts import write_csv
 from .cohort import PARAMETER_ORDER, LabParameter, Patient
 from .errors import ConfigError, EvaluationError, TrainingError
 from .framing import Frame, build_stage1_frames, build_stage2_frame
@@ -96,6 +95,8 @@ class TrainConfig:
             raise ConfigError("certain must be in [0, 5]")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -614,53 +615,19 @@ def report_to_dict(report: PretrainReport) -> dict:
         "n_train": report.n_train,
         "n_test": report.n_test,
         "mean_r2": report.mean_r2,
-        "parameters": {
-            name: {
-                "chosen_certain": result.chosen_certain,
-                "per_fold_r2": result.per_fold_r2,
-                "mean_r2": result.mean_r2,
-                "stage1_per_fold_r2": result.stage1_per_fold_r2,
-                "grid": None
-                if result.grid is None
-                else [
-                    {
-                        "certain": row.certain,
-                        "mean_r2": row.mean_r2,
-                        "ci95_half_width": row.ci95_half_width,
-                        "stage2_delta": row.stage2_delta,
-                    }
-                    for row in result.grid
-                ],
-            }
-            for name, result in report.parameters.items()
-        },
+        "parameters": {name: asdict(result) for name, result in report.parameters.items()},
     }
-
-
-def write_pretrain_report(report: PretrainReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_certain_grid_csv(report: PretrainReport, path) -> None:
     """Sweep grid, one row per (parameter, certain)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["parameter", "method", "interp", "certain", "mean_r2", "ci95_half_width",
-             "stage2_delta", "chosen"]
-        )
-        for name, result in report.parameters.items():
-            rows = result.grid or [
-                _grid_row(result.chosen_certain, result.per_fold_r2, result.stage1_per_fold_r2)
-            ]
-            for row in rows:
-                writer.writerow(
-                    [
-                        name, report.method, report.interp, row.certain,
-                        repr(row.mean_r2), repr(row.ci95_half_width),
-                        "" if row.stage2_delta is None else repr(row.stage2_delta),
-                        1 if row.certain == result.chosen_certain else 0,
-                    ]
-                )
+    write_csv(path, ["parameter", "method", "interp", "certain", "mean_r2", "ci95_half_width",
+                     "stage2_delta", "chosen"], (
+        [name, report.method, report.interp, row.certain,
+         repr(row.mean_r2), repr(row.ci95_half_width),
+         "" if row.stage2_delta is None else repr(row.stage2_delta),
+         1 if row.certain == result.chosen_certain else 0]
+        for name, result in report.parameters.items()
+        for row in result.grid or [
+            _grid_row(result.chosen_certain, result.per_fold_r2, result.stage1_per_fold_r2)]
+    ))

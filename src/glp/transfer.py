@@ -27,14 +27,13 @@ before and after; any drift is an error.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import netcore as nc
+from .artifacts import write_csv
 from .classifiers import ClassifierKind, train_classifier
 from .cohort import PARAMETER_ORDER, EpisodicRecord, LabParameter
 from .encoding import FRAME_WIDTH, denormalize, encode_frame
@@ -122,9 +121,6 @@ class MetricsRow:
     specificity: float
     precision: float
     f1: float
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
 def auroc(labels, scores) -> float:
@@ -327,53 +323,30 @@ def _balanced_indices(labels: np.ndarray, seed: int) -> np.ndarray:
 
 
 def report_to_dict(report: DownstreamReport) -> dict:
-    return {
-        "seed": report.seed,
-        "repetitions": report.repetitions,
-        "split_ratio": report.split_ratio,
-        "n_records": report.n_records,
-        "n_balanced": report.n_balanced,
-        "per_classifier": {
-            rep: {kind: row.as_dict() for kind, row in rows.items()}
-            for rep, rows in report.per_classifier.items()
-        },
-        "averaged": {rep: row.as_dict() for rep, row in report.averaged.items()},
-        "mean_pairwise_kappa": report.kappa,
-        "significance": report.significance,
-        "model_checksums": report.model_checksums,
-    }
-
-
-def write_downstream_report(report: DownstreamReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    data = asdict(report)
+    data["mean_pairwise_kappa"] = data.pop("kappa")
+    return data
 
 
 def write_downstream_table_csv(report: DownstreamReport, path) -> None:
     """Representation x classifier metric table with averaged rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["representation", "classifier"] + list(METRIC_NAMES) + ["mean_pairwise_kappa"])
-        for rep in REPRESENTATIONS:
-            for kind, row in report.per_classifier[rep].items():
-                writer.writerow([rep, kind] + [repr(getattr(row, m)) for m in METRIC_NAMES] + [""])
-            averaged = report.averaged[rep]
-            writer.writerow(
-                [rep, "avg"] + [repr(getattr(averaged, m)) for m in METRIC_NAMES]
-                + [repr(report.kappa[rep])]
-            )
+    rows = []
+    for rep in REPRESENTATIONS:
+        for kind, row in report.per_classifier[rep].items():
+            rows.append([rep, kind] + [repr(getattr(row, m)) for m in METRIC_NAMES] + [""])
+        averaged = report.averaged[rep]
+        rows.append([rep, "avg"] + [repr(getattr(averaged, m)) for m in METRIC_NAMES]
+                    + [repr(report.kappa[rep])])
+    write_csv(path, ["representation", "classifier", *METRIC_NAMES, "mean_pairwise_kappa"], rows)
 
 
 def write_distribution_csv(features: ProgressFeatures, path) -> None:
     """Per record and parameter: the raw value and the denormalized forecasts
     at half and full rollout."""
     stages = (("raw", features.raw), ("half", features.out_half), ("full", features.out))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["patient_id", "parameter", "stage", "value", "label"])
-        for j, (patient_id, label) in enumerate(zip(features.patient_ids, features.labels.tolist())):
-            for i, parameter in enumerate(PARAMETER_ORDER):
-                for stage, values in stages:
-                    writer.writerow([patient_id, parameter.value, stage,
-                                     repr(denormalize(values[j, i])), label])
+    write_csv(path, ["patient_id", "parameter", "stage", "value", "label"], (
+        [patient_id, parameter.value, stage, repr(denormalize(values[j, i])), label]
+        for j, (patient_id, label) in enumerate(zip(features.patient_ids, features.labels.tolist()))
+        for i, parameter in enumerate(PARAMETER_ORDER)
+        for stage, values in stages
+    ))

@@ -179,11 +179,20 @@ def test_config_value_of_wrong_type_rejected(tmp_path, override):
     {"transfer": {"repetitions": 0}},
     {"transfer": {"split_ratio": 0.0}},
     {"transfer": {"split_ratio": 1.5}},
-], ids=["jobs-0", "jobs-negative", "repetitions-0", "split-0", "split-1.5"])
+    {"pretext": {"visit_period_mean": float("nan")}},
+    {"downstream": {"separation": float("nan")}},
+    {"train": {"learning_rate": float("nan")}},
+    {"train": {"learning_rate": float("inf")}},
+    {"train": {"learning_rate": -1.0}},
+    {"train": {"learning_rate": 0.0}},
+    "[" * 200_000,
+], ids=["jobs-0", "jobs-negative", "repetitions-0", "split-0", "split-1.5",
+        "visit-period-nan", "separation-nan", "learning-rate-nan", "learning-rate-inf",
+        "learning-rate-negative", "learning-rate-0", "nested-200k"])
 def test_run_settings_rejected_at_config_load(tmp_path, override):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), **override}))
-    assert main(["synth", "--config", str(path)]) == 2
+    path.write_text(override if isinstance(override, str) else json.dumps(override))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert not (tmp_path / "run").exists()
 
 

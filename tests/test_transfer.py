@@ -214,18 +214,23 @@ def test_mean_pairwise_kappa_over_six_pairs():
 
 def test_distribution_csv_contents(tmp_path):
     import csv
+    import dataclasses
 
     from glp.encoding import denormalize
     from glp.transfer import write_distribution_csv
 
     models = _models()
     records = generate_downstream_cohort(DownstreamSpec(n_positive=3, n_negative=5, seed=9))
+    records[1] = dataclasses.replace(records[1], patient_id="A\rB")  # a reader's line end
     features = extract_features_bulk(models, records)
     path = tmp_path / "distribution.csv"
     write_distribution_csv(features, path)
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(records) * len(PARAMETER_ORDER) * 3
+        header, *lines = list(csv.reader(fh))
+    per_record = len(PARAMETER_ORDER) * 3
+    assert len(lines) == len(records) * per_record
+    rows = [dict(zip(header, line)) for line in lines]
+    assert [row["patient_id"] for row in rows[::per_record]] == [r.patient_id for r in records]
     assert {row["stage"] for row in rows} == {"raw", "half", "full"}
     head = [row for row in rows if row["patient_id"] == features.patient_ids[0]
             and row["parameter"] == "CHOL_HDL"]
@@ -278,5 +283,5 @@ def test_study_deterministic(study):
         DownstreamSpec(n_positive=12, n_negative=40, seed=6, g_mean_positive=10, g_mean_negative=30)
     )
     again, _ = run_downstream_study(models, records, seed=11, repetitions=3)
-    assert again.averaged["out"].as_dict() == report.averaged["out"].as_dict()
+    assert again.averaged["out"] == report.averaged["out"]
     assert again.kappa == report.kappa
