@@ -14,6 +14,9 @@ One seed in the config reproduces the entire study: every component derives
 its own stream from it. Each command writes its artifacts plus a manifest
 (config echo, seed, sha256 per artifact, format versions) under --out.
 
+Every setting is checked at load; an invalid one exits 2 before any output exists.
+Counts are capped: n_patients and n_positive + n_negative at 99,999, jobs at 64.
+
 Exit codes: 0 success, 2 invalid config, 3 missing artifact, 4 data/schema
 error, 5 integrity failure, 6 training/evaluation error, 1 unexpected.
 
@@ -31,6 +34,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .artifacts import write_json
@@ -66,6 +70,8 @@ from .transfer import (
 )
 
 logger = logging.getLogger(__name__)
+
+MAX_JOBS = 64  # fixed, so that a config valid on one machine is valid on all
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -144,51 +150,45 @@ def load_config(path: str | None) -> dict:
 
 
 def _certain_value(text: str):
-    if text == "sweep":
-        return "sweep"
+    """The --certain text, its range checked by the `TrainConfig` it will set."""
     try:
-        value = int(text)
-    except ValueError:
+        return "sweep" if text == "sweep" else TrainConfig(certain=int(text)).certain
+    except (ValueError, ConfigError):
         raise argparse.ArgumentTypeError("certain must be 0..5 or 'sweep'")
-    if not 0 <= value <= 5:
-        raise argparse.ArgumentTypeError("certain must be 0..5 or 'sweep'")
-    return value
 
 
-def _check_run_settings(config: dict) -> None:
-    """The settings outside `TrainConfig`: worker count and the downstream
-    study's repetitions and split, whether set in the file or by a flag."""
-    if config["jobs"] < 1:
-        raise ConfigError("jobs must be >= 1")
-    if config["transfer"]["repetitions"] < 1:
+class Specs(NamedTuple):
+    """A loaded config, every setting checked, and the specs built from it."""
+
+    config: dict
+    pretext: GeneratorSpec
+    downstream: DownstreamSpec
+    train: TrainConfig
+
+
+def build_specs(config: dict) -> Specs:
+    """Check every setting of a loaded config, once: each spec checks its own
+    section; jobs and the transfer settings, which no spec holds, are checked here."""
+    if not 1 <= config["jobs"] <= MAX_JOBS:
+        raise ConfigError(f"jobs must be >= 1 and <= {MAX_JOBS}")
+    if not config["transfer"]["repetitions"] >= 1:
         raise ConfigError("transfer.repetitions must be >= 1")
     if not 0.0 < config["transfer"]["split_ratio"] < 1.0:
         raise ConfigError("transfer.split_ratio must be in (0, 1)")
-
-
-def _train_config(config: dict) -> TrainConfig:
     train = config["train"]
-    certain = train["certain"]
     try:
         method = TrainMethod(train["method"])
         interp = InterpMethod(train["interp"])
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if certain != "sweep" and not (isinstance(certain, int) and 0 <= certain <= 5):
-        raise ConfigError("train.certain must be an integer 0..5 or 'sweep'")
-    built = TrainConfig(
-        method=method,
-        interp=interp,
-        certain=0 if certain == "sweep" else certain,
-        epochs=train["epochs"],
-        batch_size=train["batch_size"],
-        learning_rate=train["learning_rate"],
-        folds=train["folds"],
-        split_ratio=train["split_ratio"],
-        seed=derive_seed(config["seed"], "train"),
+    return Specs(
+        config,
+        GeneratorSpec(seed=derive_seed(config["seed"], "pretext"), **config["pretext"]),
+        DownstreamSpec(seed=derive_seed(config["seed"], "downstream"), **config["downstream"]),
+        TrainConfig(**{**train, "method": method, "interp": interp,
+                       "certain": 0 if train["certain"] == "sweep" else train["certain"]},
+                    seed=derive_seed(config["seed"], "train")),
     )
-    built.validate()
-    return built
 
 
 def _sha256(path: Path) -> str:
@@ -215,15 +215,11 @@ def _weight_path(out_dir: Path, parameter) -> Path:
     return out_dir / f"weights_{parameter.value}.glp"
 
 
-def cmd_synth(config: dict) -> dict[str, Path]:
-    out_dir = Path(config["out_dir"])
+def cmd_synth(specs: Specs) -> dict[str, Path]:
+    out_dir = Path(specs.config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    pretext_spec = GeneratorSpec(seed=derive_seed(config["seed"], "pretext"), **config["pretext"])
-    downstream_spec = DownstreamSpec(
-        seed=derive_seed(config["seed"], "downstream"), **config["downstream"]
-    )
-    patients = generate_pretext_cohort(pretext_spec)
-    records = generate_downstream_cohort(downstream_spec)
+    patients = generate_pretext_cohort(specs.pretext)
+    records = generate_downstream_cohort(specs.downstream)
     pretext_path = out_dir / "pretext.csv"
     episodic_path = out_dir / "episodic.csv"
     write_cohort_csv(patients, pretext_path)
@@ -232,7 +228,8 @@ def cmd_synth(config: dict) -> dict[str, Path]:
     return {"pretext.csv": pretext_path, "episodic.csv": episodic_path}
 
 
-def cmd_pretrain(config: dict) -> dict[str, Path]:
+def cmd_pretrain(specs: Specs) -> dict[str, Path]:
+    config, train_config = specs.config, specs.train
     out_dir = Path(config["out_dir"])
     pretext_path = out_dir / "pretext.csv"
     if not pretext_path.exists():
@@ -246,8 +243,7 @@ def cmd_pretrain(config: dict) -> dict[str, Path]:
     if not loaded.patients:
         raise SchemaError(f"{pretext_path}: no usable patients")
 
-    train_config = _train_config(config)
-    jobs = int(config["jobs"])
+    jobs = config["jobs"]
     if config["train"]["certain"] == "sweep":
         report = sweep_certain(loaded.patients, train_config, jobs=jobs)
     else:
@@ -269,7 +265,8 @@ def cmd_pretrain(config: dict) -> dict[str, Path]:
     return artifacts
 
 
-def cmd_transfer(config: dict) -> dict[str, Path]:
+def cmd_transfer(specs: Specs) -> dict[str, Path]:
+    config = specs.config
     out_dir = Path(config["out_dir"])
     episodic_path = out_dir / "episodic.csv"
     if not episodic_path.exists():
@@ -313,10 +310,10 @@ def cmd_transfer(config: dict) -> dict[str, Path]:
     }
 
 
-def cmd_all(config: dict) -> dict[str, Path]:
-    artifacts = cmd_synth(config)
-    artifacts.update(cmd_pretrain(config))
-    artifacts.update(cmd_transfer(config))
+def cmd_all(specs: Specs) -> dict[str, Path]:
+    artifacts = cmd_synth(specs)
+    artifacts.update(cmd_pretrain(specs))
+    artifacts.update(cmd_transfer(specs))
     return artifacts
 
 
@@ -398,11 +395,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return 5 if cmd_verify(args.paths) else 0
         config = _apply_flags(load_config(args.config), args)
-        _check_run_settings(config)  # reject bad settings before any work
-        _train_config(config)
+        specs = build_specs(config)  # every setting checked before any output exists
         handler = {"synth": cmd_synth, "pretrain": cmd_pretrain,
                    "transfer": cmd_transfer, "all": cmd_all}[args.command]
-        artifacts = handler(config)
+        artifacts = handler(specs)
         manifest = _write_manifest(Path(config["out_dir"]), config, artifacts)
         print(f"wrote {len(artifacts)} artifacts; manifest at {manifest}")
         return 0

@@ -53,6 +53,8 @@ PARAMETER_ORDER: tuple[LabParameter, ...] = tuple(LabParameter)
 # last and feature extraction unrolls every record to the largest gap.
 MAX_MONTHS = 12 * (110 - 18)
 
+MAX_COHORT = 99_999  # the most patients in a cohort: the width of its P%05d/D%05d ids
+
 # episodic CSV column name per parameter
 EPISODIC_COLUMNS = {
     LabParameter.CHOL_HDL: "chol_hdl",
@@ -112,14 +114,24 @@ class EpisodicRecord:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Pretext cohort controls; defaults give a desk-scale but learnable cohort
-    (many patients with ~2 years of quarterly visits each)."""
+    """Pretext cohort controls, checked when built; defaults give a desk-scale
+    but learnable cohort (many patients with ~2 years of quarterly visits each)."""
 
     n_patients: int = 240
     months_span: int = 24
     visit_period_mean: float = 3.0
     dropout_prob: float = 0.15
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n_patients <= MAX_COHORT:
+            raise ConfigError(f"n_patients must be >= 1 and <= {MAX_COHORT}")
+        if not self.visit_period_mean >= 1:
+            raise ConfigError("visit_period_mean must be >= 1")
+        if not 2 <= self.months_span <= MAX_MONTHS:
+            raise ConfigError(f"months_span must be in [2, {MAX_MONTHS}]")
+        if not 0.0 <= self.dropout_prob < 1.0:
+            raise ConfigError("dropout_prob must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -140,6 +152,15 @@ class DownstreamSpec:
     seed: int = 0
     g_mean_positive: float = 9.0
     g_mean_negative: float = 106.0
+
+    def __post_init__(self) -> None:
+        if not (self.n_positive >= 1 and self.n_negative >= 1
+                and self.n_positive + self.n_negative <= MAX_COHORT):
+            raise ConfigError(f"n_positive and n_negative must be >= 1, their sum <= {MAX_COHORT}")
+        if not self.separation >= 0:
+            raise ConfigError("separation must be >= 0")
+        if not (1 <= self.g_mean_positive <= MAX_MONTHS and 1 <= self.g_mean_negative <= MAX_MONTHS):
+            raise ConfigError(f"g_mean_positive and g_mean_negative must be in [1, {MAX_MONTHS}]")
 
 
 # Planted process profile per parameter: (level mean, level sd, monthly AR
@@ -189,15 +210,6 @@ def _series_values(parameter: LabParameter, months: list[int], rng) -> list[floa
 
 def generate_pretext_cohort(spec: GeneratorSpec) -> list[Patient]:
     """Generate the longitudinal cohort; deterministic in (spec, seed)."""
-    if spec.n_patients < 1:
-        raise ConfigError("n_patients must be >= 1")
-    if spec.visit_period_mean < 1:
-        raise ConfigError("visit_period_mean must be >= 1")
-    if not 2 <= spec.months_span <= MAX_MONTHS:
-        raise ConfigError(f"months_span must be in [2, {MAX_MONTHS}]")
-    if not 0.0 <= spec.dropout_prob < 1.0:
-        raise ConfigError("dropout_prob must be in [0, 1)")
-
     patients = []
     for index in range(spec.n_patients):
         pid = f"P{index:05d}"
@@ -225,13 +237,6 @@ def generate_pretext_cohort(spec: GeneratorSpec) -> list[Patient]:
 
 def generate_downstream_cohort(spec: DownstreamSpec) -> list[EpisodicRecord]:
     """Generate the episodic cohort; positives first, then negatives."""
-    if spec.n_positive < 1 or spec.n_negative < 1:
-        raise ConfigError("n_positive and n_negative must be >= 1")
-    if spec.separation < 0:
-        raise ConfigError("separation must be >= 0")
-    if not (1 <= spec.g_mean_positive <= MAX_MONTHS and 1 <= spec.g_mean_negative <= MAX_MONTHS):
-        raise ConfigError(f"g_mean_positive and g_mean_negative must be in [1, {MAX_MONTHS}]")
-
     records = []
     plan = [(True, spec.n_positive, spec.g_mean_positive), (False, spec.n_negative, spec.g_mean_negative)]
     index = 0

@@ -84,16 +84,16 @@ class TrainConfig:
     split_ratio: float = 0.8
     parameters: tuple[LabParameter, ...] = PARAMETER_ORDER
 
-    def validate(self) -> None:
-        if self.epochs < 1:
+    def __post_init__(self) -> None:
+        if not self.epochs >= 1:
             raise ConfigError("epochs must be >= 1")
-        if self.folds < 2:
+        if not self.folds >= 2:
             raise ConfigError("folds must be >= 2")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must be in (0, 1)")
         if not 0 <= self.certain <= 5:
             raise ConfigError("certain must be in [0, 5]")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ConfigError("batch_size must be >= 1")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be > 0")
@@ -520,7 +520,6 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
     every (parameter, threshold, fold) in one stack; per parameter the argmax
     mean R^2 is chosen, ties toward the earlier threshold. A report of one
     threshold carries no grid."""
-    config.validate()
     started = time.perf_counter()
     train, test = split_cohort(patients, config.split_ratio, config.seed)
     if len(train) < config.folds:

@@ -38,14 +38,14 @@ def test_synth_writes_cohorts_and_manifest(tmp_path):
 def test_synth_rejects_a_months_span_the_reader_would_reject(tmp_path):
     config, out = tiny_config(tmp_path, pretext={"n_patients": 3, "months_span": 1105})
     assert main(["synth", "--config", str(config)]) == 2
-    assert not (out / "pretext.csv").exists()
+    assert not out.exists()
 
 
 def test_synth_rejects_a_gap_mean_the_reader_would_reject(tmp_path):
     downstream = {"n_positive": 8, "n_negative": 24, "g_mean_negative": 5000}
     config, out = tiny_config(tmp_path, downstream=downstream)
     assert main(["synth", "--config", str(config)]) == 2
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_pretrain_requires_synth(tmp_path):
@@ -186,14 +186,44 @@ def test_config_value_of_wrong_type_rejected(tmp_path, override):
     {"train": {"learning_rate": -1.0}},
     {"train": {"learning_rate": 0.0}},
     "[" * 200_000,
+    {"pretext": {"dropout_prob": 1.5}},
+    {"pretext": {"months_span": 1}},
+    {"pretext": {"visit_period_mean": 0.5}},
+    {"downstream": {"n_positive": 0}},
+    {"downstream": {"separation": -1.0}},
+    # past each count's cap: checked at load, never generated or run
+    {"pretext": {"n_patients": 10**20}},
+    {"downstream": {"n_positive": 10**20}},
+    {"downstream": {"n_negative": 10**20}},
+    {"downstream": {"n_positive": 50_000, "n_negative": 50_000}},
+    {"jobs": 10**20},
 ], ids=["jobs-0", "jobs-negative", "repetitions-0", "split-0", "split-1.5",
         "visit-period-nan", "separation-nan", "learning-rate-nan", "learning-rate-inf",
-        "learning-rate-negative", "learning-rate-0", "nested-200k"])
+        "learning-rate-negative", "learning-rate-0", "nested-200k",
+        "dropout-1.5", "months-span-1", "visit-period-0.5", "n-positive-0", "separation-negative",
+        "n-patients-1e20", "n-positive-1e20", "n-negative-1e20", "records-100k", "jobs-1e20"])
 def test_run_settings_rejected_at_config_load(tmp_path, override):
     path = tmp_path / "config.json"
     path.write_text(override if isinstance(override, str) else json.dumps(override))
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "transfer"])
+@pytest.mark.parametrize("section", [
+    {"pretext": {"dropout_prob": 1.5}},
+    {"downstream": {"n_positive": 0}},
+], ids=["pretext", "downstream"])
+def test_every_command_checks_every_section(tmp_path, command, section):
+    config, out = tiny_config(tmp_path)
+    assert main(["synth", "--config", str(config)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    bad, _ = tiny_config(tmp_path, **section)
+    assert main([command, "--config", str(bad)]) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    empty = tmp_path / "empty"
+    assert main([command, "--config", str(bad), "--out", str(empty)]) == 2
+    assert not empty.exists()
 
 
 def test_jobs_flag_rejected_like_the_config_value(tmp_path, capsys):

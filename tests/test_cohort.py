@@ -7,6 +7,7 @@ from glp.cohort import (
     DownstreamSpec,
     GeneratorSpec,
     LabParameter,
+    MAX_COHORT,
     MAX_MONTHS,
     PARAMETER_ORDER,
     generate_downstream_cohort,
@@ -41,10 +42,11 @@ def test_expected_visit_count_by_simulation():
 
 
 def test_zero_patients_rejected():
-    with pytest.raises(ConfigError):
-        generate_pretext_cohort(GeneratorSpec(n_patients=0))
-    with pytest.raises(ConfigError):
-        generate_pretext_cohort(GeneratorSpec(n_patients=5, visit_period_mean=0.5))
+    for settings in [{"n_patients": 0}, {"n_patients": MAX_COHORT + 1},
+                     {"visit_period_mean": 0.5}, {"visit_period_mean": float("nan")},
+                     {"dropout_prob": float("nan")}]:
+        with pytest.raises(ConfigError):
+            GeneratorSpec(**settings)
 
 
 def test_months_span_bounded_by_what_the_reader_accepts(tmp_path):
@@ -113,8 +115,9 @@ def test_downstream_counts_and_determinism():
     assert sum(r.label for r in records) == 42
     again = generate_downstream_cohort(spec)
     assert records == again
-    with pytest.raises(ConfigError):
-        generate_downstream_cohort(DownstreamSpec(n_positive=0, n_negative=10))
+    for settings in [{"n_positive": 0}, {"n_negative": MAX_COHORT}, {"separation": float("nan")}]:
+        with pytest.raises(ConfigError):
+            DownstreamSpec(**{"n_positive": 1, "n_negative": 10, **settings})
 
 
 def test_downstream_zero_separation_indistinguishable():

@@ -269,13 +269,15 @@ def test_cross_validate_rejects_too_few_patients():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
-        TrainConfig(folds=1).validate()
+        TrainConfig(folds=1)
     with pytest.raises(ConfigError):
-        TrainConfig(split_ratio=1.2).validate()
+        TrainConfig(split_ratio=1.2)
     with pytest.raises(ConfigError):
-        TrainConfig(certain=7).validate()
+        TrainConfig(certain=7)
+    with pytest.raises(ConfigError):
+        TrainConfig(learning_rate=float("nan"))
 
 
 def test_sweep_certain_grid(small_cohort):

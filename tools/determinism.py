@@ -2,8 +2,11 @@
 
 Runs `glp all` from this checkout's `src/` on each config below, one after
 the other, and prints one JSON object mapping each config name to its
-manifest's `{artifact: sha256}`. Run it in two checkouts and diff the
-outputs: a refactor that keeps behaviour leaves every value unchanged.
+manifest's `{artifact: sha256}`, plus the sha256 of the manifest's `config`
+echo under `manifest.json:config`. Each run writes to a directory named
+after its config, relative to a fresh working directory, so the echo holds
+no temporary path. Run it in two checkouts and diff the outputs: a refactor
+that keeps behaviour leaves every value unchanged.
 
     python tools/determinism.py > artifacts.json
 
@@ -14,6 +17,7 @@ from run to run. The default config alone takes minutes; the others seconds.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import sys
@@ -51,18 +55,20 @@ CONFIGS: dict[str, dict] = {
 }
 
 
-def run(name: str, work: Path) -> dict[str, str]:
-    out = work / name
-    config = {**CONFIGS[name], "out_dir": str(out)}
-    path = work / f"{name}.json"
-    path.write_text(json.dumps(config))
+def run(name: str) -> dict[str, str]:
+    """`glp all` on one config in the working directory; its manifest's
+    artifact hashes and the hash of its config echo."""
+    path = Path(f"{name}.json")
+    path.write_text(json.dumps({**CONFIGS[name], "out_dir": name}))
     with contextlib.redirect_stdout(sys.stderr):  # keep stdout for the JSON
         code = main(["all", "--config", str(path)])
     if code != 0:
         raise SystemExit(f"glp all exited {code} on config {name}")
-    return json.loads((out / "manifest.json").read_text())["artifacts"]
+    manifest = json.loads((Path(name) / "manifest.json").read_text())
+    echo = json.dumps(manifest["config"], sort_keys=True).encode()
+    return {**manifest["artifacts"], "manifest.json:config": hashlib.sha256(echo).hexdigest()}
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps({name: run(name, Path(tmp)) for name in CONFIGS}, indent=2, sort_keys=True))
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        print(json.dumps({name: run(name) for name in CONFIGS}, indent=2, sort_keys=True))
