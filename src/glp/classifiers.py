@@ -60,7 +60,7 @@ def _validate(features: np.ndarray, labels: np.ndarray):
 # gradient boosted trees
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     feature: int = -1
     threshold: float = 0.0
@@ -72,12 +72,14 @@ class _Node:
 def _fit_tree(x, grad, hess, depth, max_depth, min_child):
     node = _Node()
     node.value = grad.sum() / (hess.sum() + 1e-12)
-    if depth >= max_depth or x.shape[0] < 2 * min_child or np.allclose(grad, grad[0]):
+    # np.allclose(grad, grad[0]) written out (grad is finite): the call costs more than the test
+    if (depth >= max_depth or x.shape[0] < 2 * min_child
+            or np.all(np.abs(grad - grad[0]) <= 1e-08 + 1e-05 * abs(grad[0]))):
         return node
     total_gain = grad.sum() ** 2 / (hess.sum() + 1e-12)
     # row i of gain splits every feature between its sorted rows i and i + 1
     order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
+    xs = x[order, np.arange(x.shape[1])]
     gs = np.cumsum(grad[order], axis=0)
     hs = np.cumsum(hess[order], axis=0)
     gl, hl = gs[:-1], hs[:-1]

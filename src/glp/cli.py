@@ -15,7 +15,8 @@ its own stream from it. Each command writes its artifacts plus a manifest
 (config echo, seed, sha256 per artifact, format versions) under --out.
 
 Every setting is checked at load; an invalid one exits 2 before any output exists.
-Counts are capped: n_patients and n_positive + n_negative at 99,999, jobs at 64.
+Counts are capped: n_patients and n_positive + n_negative at 99,999, jobs at 64,
+train.epochs at 10,000 and transfer.repetitions at 1,000.
 
 Exit codes: 0 success, 2 invalid config, 3 missing artifact, 4 data/schema
 error, 5 integrity failure, 6 training/evaluation error, 1 unexpected.
@@ -63,6 +64,7 @@ from .pipeline import (
 )
 from .seeding import derive_seed
 from .transfer import (
+    MAX_REPETITIONS,
     report_to_dict as downstream_report_to_dict,
     run_downstream_study,
     write_distribution_csv,
@@ -171,8 +173,8 @@ def build_specs(config: dict) -> Specs:
     section; jobs and the transfer settings, which no spec holds, are checked here."""
     if not 1 <= config["jobs"] <= MAX_JOBS:
         raise ConfigError(f"jobs must be >= 1 and <= {MAX_JOBS}")
-    if not config["transfer"]["repetitions"] >= 1:
-        raise ConfigError("transfer.repetitions must be >= 1")
+    if not 1 <= config["transfer"]["repetitions"] <= MAX_REPETITIONS:
+        raise ConfigError(f"transfer.repetitions must be >= 1 and <= {MAX_REPETITIONS}")
     if not 0.0 < config["transfer"]["split_ratio"] < 1.0:
         raise ConfigError("transfer.split_ratio must be in (0, 1)")
     train = config["train"]

@@ -71,13 +71,13 @@ class Gender(Enum):
     FEMALE = "F"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     month: int
     value: float
 
 
-@dataclass
+@dataclass(slots=True)
 class LabSeries:
     patient_id: str
     parameter: LabParameter
@@ -94,7 +94,7 @@ class LabSeries:
                 raise SchemaError(f"{self.patient_id}/{self.parameter.value}: bad value {o.value}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Patient:
     patient_id: str
     age_at_start: float
@@ -102,7 +102,7 @@ class Patient:
     series: dict[LabParameter, LabSeries]
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodicRecord:
     patient_id: str
     age: float
@@ -260,7 +260,7 @@ def generate_downstream_cohort(spec: DownstreamSpec) -> list[EpisodicRecord]:
 # CSV IO
 
 
-@dataclass
+@dataclass(slots=True)
 class RowRejection:
     line: int
     reason: str

@@ -34,7 +34,7 @@ MAX_GAP = FRAME_WIDTH // 2
 _SPAN = np.arange(FRAME_SPAN)
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     patient_id: str
     input: np.ndarray  # (12, 5)

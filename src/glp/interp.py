@@ -171,7 +171,7 @@ def barycentric_fill(points: list[tuple[float, float]]) -> dict[int, float]:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class FilledSeries:
     """A series filled month by month: `values[k]` and `is_real[k]` belong to
     month `first + k`, up to the second-to-last observation's month; `last` is

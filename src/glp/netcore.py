@@ -385,24 +385,45 @@ def rollout_forward(model: GlpModel, x0: np.ndarray, gap: int, need_trace=False,
     the forecast from latents[-1]. A model whose vector is (M, 516) is a
     stack of M models, run on a shared (B, 12, 5) `x0` or on an (M, B, 12, 5)
     `x0`, one batch per model: pred is (M, B) and each latent (M, B, 5).
+
+    Given `at`, a row leaves the batch after the last application it needs:
+    the rows run ordered by that count, longest first, each application runs
+    the prefix of rows still needed, and the latents come back in row order.
+    The prefix keeps at least min(2, B) rows, because a 1-row batch takes
+    another matmul path, whose bits differ from the same row's in a larger
+    batch. Without `at` (training) every row runs every application.
     """
     applications = max(int(gap), 1)
     B = x0.shape[-3]
-    at = [np.asarray(apps) for apps in (at or (np.full(B, applications),))]
-    for apps in at:
-        if apps.shape != (B,) or ((apps < 1) | (apps > applications)).any():
-            raise TrainingError(f"rollout snapshots need (B,) counts in 1..{applications}")
+    live, order = [B] * applications, None
+    if not at:
+        at = [np.full(B, applications)]
+    else:
+        at = [np.asarray(apps) for apps in at]
+        for apps in at:
+            if apps.shape != (B,) or ((apps < 1) | (apps > applications)).any():
+                raise TrainingError(f"rollout snapshots need (B,) counts in 1..{applications}")
+        last = np.max(at, axis=0)
+        order = np.argsort(-last, kind="stable")
+        x0, at = x0[..., order, :, :], [apps[order] for apps in at]
+        live = [max(int(np.count_nonzero(last >= k)), min(2, B))
+                for k in range(1, applications + 1)]
     seq = x0
     latents = [np.empty(model.vector.shape[:-1] + (B, HIDDEN)) for _ in at]
     traces = [] if need_trace else None
-    for k in range(applications):
+    for k, rows in enumerate(live):
+        if rows < seq.shape[-3]:
+            seq, x0 = seq[..., :rows, :, :], x0[..., :rows, :, :]
         out, tr = libc_forward(model.libc, seq, need_trace)
         if need_trace:
             traces.append(tr)
         for latent, apps in zip(latents, at):
-            np.copyto(latent, out[..., -1, :], where=(apps == k + 1)[:, None])
+            np.copyto(latent[..., :rows, :], out[..., -1, :], where=(apps[:rows] == k + 1)[:, None])
         if k < applications - 1:
             seq = next_input(out, x0, model.parameter)
+    if order is not None:
+        for latent in latents:
+            latent[..., order, :] = latent.copy()
     pred, rtr = regressor_forward(model.regressor, latents[-1], need_trace)
     return pred, latents, traces, rtr
 

@@ -23,21 +23,24 @@ optimizer state; at each step the models whose next batches share batch
 length and gap take one stacked `netcore` step, whatever their parameters.
 A stacked step computes for each model exactly the bits of its solo step, so
 a model trains to the same weights whatever stack it is in. Cross-validation
-trains every (parameter, threshold, fold) fit of a run as one stack and
-`train_final_models` the six final models as another; with `jobs` > 1 a
-stack is split into `jobs` stacks, one per worker process.
-`assemble_frames` stacks each parameter's frames once into a `FrameSet`,
-the first-stage frames at the smallest threshold trained; each fit holds
-index rows into them, filtered by its own threshold. The held-out split is
-framed for rollouts only, one set per parameter, and the final models reuse
-the training sets from the `PretrainReport`.
+trains every (parameter, threshold, fold) fit of a run as one stack. With a
+fixed threshold the six final models join that stack and the report carries
+them; after a sweep, whose thresholds the scores choose, `train_final_models`
+trains them as a second stack from the training sets the `PretrainReport`
+keeps. With `jobs` > 1 a stack is split into `jobs` stacks, one per worker
+process. `assemble_frames` stacks each parameter's frames once into a
+`FrameSet`, the first-stage frames at the smallest threshold trained; each
+fit holds index rows into them, filtered by its own threshold. The held-out
+split is framed for rollouts only, one set per parameter.
 
 Validation holds out a patient-level test split once per seed, rotates folds
 inside the training split for repetition, and scores rollout forecasts of
 each held-out patient's final observation with R-squared on normalized
-targets. `sweep_certain` grid-searches the certainty threshold 0..5 per lab
-parameter and picks the argmax mean R-squared (ties toward the smaller
-threshold).
+targets. Each parameter's fold models, and for two-stage their supervised
+intermediates, are scored as one stack: one stacked rollout per gap on the
+shared held-out batch, each model with the bits of its solo rollout.
+`sweep_certain` grid-searches the certainty threshold 0..5 per lab parameter
+and picks the argmax mean R-squared (ties toward the smaller threshold).
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -71,6 +73,9 @@ class TrainMethod(Enum):
     TWO_STAGE = "two-stage"
 
 
+MAX_EPOCHS = 10_000  # fixed, so that a config cannot ask for unbounded training
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     method: TrainMethod = TrainMethod.TWO_STAGE
@@ -85,8 +90,8 @@ class TrainConfig:
     parameters: tuple[LabParameter, ...] = PARAMETER_ORDER
 
     def __post_init__(self) -> None:
-        if not self.epochs >= 1:
-            raise ConfigError("epochs must be >= 1")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise ConfigError(f"epochs must be >= 1 and <= {MAX_EPOCHS}")
         if not self.folds >= 2:
             raise ConfigError("folds must be >= 2")
         if not 0.0 < self.split_ratio < 1.0:
@@ -372,17 +377,23 @@ def train_by_method(fits: list[Fit], config: TrainConfig
 # inference and scoring
 
 
-def evaluate_r2(model: nc.GlpModel, data: FrameSet) -> float:
-    """Rollout forecasts of held-out frames scored against normalized targets."""
+def evaluate_r2(models: list[nc.GlpModel], data: FrameSet) -> list[float]:
+    """Rollout forecasts of held-out frames by a stack of models, each model's
+    scored against the normalized targets: one R^2 per model. The models roll
+    out as one stack per gap on the shared held-out batch, each with the bits
+    of its solo rollout."""
     if len(data) < 2:
         raise EvaluationError("evaluate_r2 needs >= 2 held-out frames")
+    stack = nc.GlpModel(tuple(model.parameter for model in models), 0,
+                        np.stack([model.vector for model in models]))
     x, gaps = data.x[data.rows], data.gaps[data.rows]
-    predictions = np.empty(len(data))
+    predictions = np.empty((len(models), len(data)))
     for gap in np.unique(gaps):
         mask = gaps == gap
-        preds, _, _, _ = nc.rollout_forward(model, x[mask], int(gap))
-        predictions[mask] = preds
-    return r_squared(predictions, data.targets[data.rows])
+        preds, _, _, _ = nc.rollout_forward(stack, x[mask], int(gap))
+        predictions[:, mask] = preds
+    targets = data.targets[data.rows]
+    return [r_squared(row, targets) for row in predictions]
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +448,7 @@ class PretrainReport:
     # kept on the object, not serialized
     wall_clock_seconds: float = 0.0
     frames: dict[LabParameter, tuple[FrameSet, FrameSet]] = field(default_factory=dict, repr=False)
+    final_models: dict[LabParameter, nc.GlpModel] = field(default_factory=dict, repr=False)
 
     @property
     def method(self) -> str:
@@ -486,27 +498,13 @@ def _in_stacks(fn, fits: list[Fit], jobs: int) -> list:
     one per worker process; results in fit order."""
     if jobs <= 1:
         return fn(fits)
+    # imported here: with one job (the default) no command pays for the pool
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = [fits[len(fits) * k // jobs : len(fits) * (k + 1) // jobs] for k in range(jobs)]
     chunks = [chunk for chunk in chunks if chunk]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return [result for part in pool.map(fn, chunks) for result in part]
-
-
-def _score_stack(config: TrainConfig, held_out: dict[LabParameter, FrameSet],
-                 fits: list[Fit]):
-    """Train a stack and score each fit on its parameter's held-out frames:
-    (final R^2, supervised-intermediate R^2 or None) per fit."""
-    scores = []
-    for fit, (intermediate, final) in zip(fits, train_by_method(fits, config)):
-        data = held_out[fit.parameter]
-        stage1_r2 = (evaluate_r2(intermediate, data)
-                     if config.method is TrainMethod.TWO_STAGE else None)
-        scores.append((evaluate_r2(final, data), stage1_r2))
-    return scores
-
-
-def _final_stack(config: TrainConfig, fits: list[Fit]) -> list[nc.GlpModel]:
-    return [final for _, final in train_by_method(fits, config)]
 
 
 def _grid_row(certain: int, fold_r2: list[float], stage1_r2: list[float] | None) -> GridRow:
@@ -514,12 +512,22 @@ def _grid_row(certain: int, fold_r2: list[float], stage1_r2: list[float] | None)
     return GridRow(certain, float(np.mean(fold_r2)), _half_width(fold_r2), delta)
 
 
+def _final_fit(parameter: LabParameter, certain: int, frames: tuple[FrameSet, FrameSet],
+               seed: int) -> Fit:
+    """The deployable model's fit: the whole training split at `certain`."""
+    stage1, stage2 = frames
+    return Fit(parameter, certain, derive_seed(seed, parameter.value, "final"),
+               stage1.select(certain=certain), stage2.select())
+
+
 def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
               jobs: int) -> PretrainReport:
     """Fold-rotated training at each threshold in `certains`, every fit of
     every (parameter, threshold, fold) in one stack; per parameter the argmax
     mean R^2 is chosen, ties toward the earlier threshold. A report of one
-    threshold carries no grid."""
+    threshold carries no grid, and its final models train in the same stack.
+    Each parameter's fold models (and two-stage intermediates) are scored as
+    one stack on its held-out rollout frames."""
     started = time.perf_counter()
     train, test = split_cohort(patients, config.split_ratio, config.seed)
     if len(train) < config.folds:
@@ -544,18 +552,28 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
                 seed = derive_seed(config.seed, parameter.value, "certain", certain, "fold", k)
                 fits.append(Fit(parameter, certain, seed, stage1.select(members, certain),
                                 stage2.select(members)))
-    scores = iter(_in_stacks(partial(_score_stack, config, held_out), fits, jobs))
+    # with one threshold the final fits are known before any score: they join the stack
+    finals = ([_final_fit(parameter, certains[0], frames[parameter], config.seed)
+               for parameter in config.parameters] if len(certains) == 1 else [])
+    trained = _in_stacks(partial(train_by_method, config=config), fits + finals, jobs)
 
     report = PretrainReport(
         config_echo=_config_echo(config), seed=config.seed,
         certain=certains[0] if len(certains) == 1 else "sweep",
         n_patients=len(patients), n_train=len(train), n_test=len(test), frames=frames,
+        final_models={fit.parameter: final for fit, (_, final) in zip(finals, trained[len(fits):])},
     )
-    for parameter in config.parameters:
+    two_stage = config.method is TrainMethod.TWO_STAGE
+    cells = len(certains) * config.folds
+    for index, parameter in enumerate(config.parameters):
+        models = trained[index * cells : (index + 1) * cells]
+        r2 = evaluate_r2([final for _, final in models]
+                         + ([intermediate for intermediate, _ in models] if two_stage else []),
+                         held_out[parameter])
         rows = []
-        for certain in certains:
-            fold_r2, stage1_r2 = zip(*itertools.islice(scores, config.folds))
-            rows.append((certain, list(fold_r2), None if stage1_r2[0] is None else list(stage1_r2)))
+        for c, certain in enumerate(certains):
+            cell = slice(c * config.folds, (c + 1) * config.folds)
+            rows.append((certain, r2[cell], r2[cells:][cell] if two_stage else None))
         grid = [_grid_row(*row) for row in rows]
         chosen = argmax_certain([row.mean_r2 for row in grid])
         _, chosen_fold_r2, chosen_stage1 = rows[chosen]
@@ -572,7 +590,9 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
 
 
 def cross_validate(patients: list[Patient], config: TrainConfig, jobs: int = 1) -> PretrainReport:
-    """Fold-rotated training at the configured certainty threshold."""
+    """Fold-rotated training at the configured certainty threshold; the final
+    models train in the same stack, and the report carries them for
+    `train_final_models`."""
     return _pretrain(patients, config, [config.certain], jobs)
 
 
@@ -584,19 +604,23 @@ def sweep_certain(patients: list[Patient], config: TrainConfig, jobs: int = 1) -
 
 def train_final_models(report: PretrainReport, config: TrainConfig,
                        jobs: int = 1) -> dict[LabParameter, nc.GlpModel]:
-    """Train one deployable model per parameter on the report's whole
-    training split at the parameter's chosen threshold, the six as one
-    stack, from the frames the report's cross-validation stacked. `config`
-    must be the one the report was made with."""
+    """One deployable model per parameter, trained on the report's whole
+    training split at the parameter's chosen threshold. A report of one
+    threshold already holds them, trained in its cross-validation stack, and
+    each call returns copies of them; after a sweep, whose thresholds the
+    scores choose, the six train here as one stack from the frames the
+    report's cross-validation stacked. `config` must be the one the report
+    was made with."""
     if report.config_echo != _config_echo(config) or report.seed != config.seed:
         raise ConfigError("the pretrain report was made with another config")
-    fits = []
-    for parameter in config.parameters:
-        certain = report.parameters[parameter.value].chosen_certain
-        stage1, stage2 = report.frames[parameter]
-        fits.append(Fit(parameter, certain, derive_seed(config.seed, parameter.value, "final"),
-                        stage1.select(certain=certain), stage2.select()))
-    return dict(zip(config.parameters, _in_stacks(partial(_final_stack, config), fits, jobs)))
+    if report.final_models:
+        return {parameter: nc.GlpModel(model.parameter, model.certain, model.vector.copy())
+                for parameter, model in report.final_models.items()}
+    fits = [_final_fit(parameter, report.parameters[parameter.value].chosen_certain,
+                       report.frames[parameter], config.seed)
+            for parameter in config.parameters]
+    trained = _in_stacks(partial(train_by_method, config=config), fits, jobs)
+    return {fit.parameter: final for fit, (_, final) in zip(fits, trained)}
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .stats import t_test
 
 logger = logging.getLogger(__name__)
 
+MAX_REPETITIONS = 1_000  # fixed, so that a config cannot ask for an unbounded study
 REPRESENTATIONS = ("raw", "emb", "out")
 METRIC_NAMES = ("auroc", "accuracy", "sensitivity", "specificity", "precision", "f1")
 
@@ -86,9 +87,10 @@ def extract_features_bulk(
 ) -> ProgressFeatures:
     """Transfer features of the records; the models are never mutated.
 
-    Per parameter, one `netcore.rollout_forward` call rolls every record
-    forward to the largest gap and keeps only each record's latents of its
-    own ceil(g/2)-th and g-th applications, so memory is O(records)."""
+    Per parameter, one `netcore.rollout_forward` call rolls each record
+    forward to its own gap (a record leaves the batch once its g-th
+    application has run) and keeps only each record's latents of its own
+    ceil(g/2)-th and g-th applications, so memory is O(records)."""
     _check_models(models)
     n = len(records)
     gaps = np.array([max(r.gap_months, 1) for r in records])
@@ -236,10 +238,11 @@ def run_downstream_study(
 ) -> tuple[DownstreamReport, ProgressFeatures]:
     """The full classification comparison across raw / emb / out features.
 
-    Raises ConfigError when `repetitions` < 1, or when `split_ratio` leaves a
-    class of the balanced set without training or test rows."""
-    if repetitions < 1:
-        raise ConfigError("transfer.repetitions must be >= 1")
+    Raises ConfigError when `repetitions` is outside 1..MAX_REPETITIONS, or
+    when `split_ratio` leaves a class of the balanced set without training or
+    test rows."""
+    if not 1 <= repetitions <= MAX_REPETITIONS:
+        raise ConfigError(f"transfer.repetitions must be >= 1 and <= {MAX_REPETITIONS}")
     checksums_before = {p.value: nc.model_checksum(models[p]) for p in PARAMETER_ORDER}
     features = extract_features_bulk(models, records)
 

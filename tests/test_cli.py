@@ -197,11 +197,14 @@ def test_config_value_of_wrong_type_rejected(tmp_path, override):
     {"downstream": {"n_negative": 10**20}},
     {"downstream": {"n_positive": 50_000, "n_negative": 50_000}},
     {"jobs": 10**20},
+    {"train": {"epochs": 10**20}},
+    {"transfer": {"repetitions": 10**20}},
 ], ids=["jobs-0", "jobs-negative", "repetitions-0", "split-0", "split-1.5",
         "visit-period-nan", "separation-nan", "learning-rate-nan", "learning-rate-inf",
         "learning-rate-negative", "learning-rate-0", "nested-200k",
         "dropout-1.5", "months-span-1", "visit-period-0.5", "n-positive-0", "separation-negative",
-        "n-patients-1e20", "n-positive-1e20", "n-negative-1e20", "records-100k", "jobs-1e20"])
+        "n-patients-1e20", "n-positive-1e20", "n-negative-1e20", "records-100k", "jobs-1e20",
+        "epochs-1e20", "repetitions-1e20"])
 def test_run_settings_rejected_at_config_load(tmp_path, override):
     path = tmp_path / "config.json"
     path.write_text(override if isinstance(override, str) else json.dumps(override))

@@ -33,6 +33,7 @@ from glp.pipeline import (
     train_stage2,
 )
 from glp.seeding import derive_seed, rng_from
+from glp.stats import r_squared
 from helpers import views_alias_vector
 
 QUICK = TrainConfig(epochs=4, seed=5)
@@ -174,7 +175,7 @@ def test_evaluate_r2_validation(frames):
     s1, _ = frames
     model = stage1_model(s1[:40])
     with pytest.raises(EvaluationError):
-        evaluate_r2(model, FrameSet.of(s1[:1]))
+        evaluate_r2([model], FrameSet.of(s1[:1]))
 
 
 def test_split_shapes():
@@ -232,8 +233,9 @@ def test_cross_validate_report(small_cohort):
 
 
 def test_held_out_split_is_framed_for_rollouts_only(small_cohort, monkeypatch):
-    """Stage-1 framing reads only the training split; each fit is scored on
-    the rollout frames of the held-out patients' full frame caches, in order."""
+    """Stage-1 framing reads only the training split; every fold model and
+    intermediate is scored on the rollout frames of the held-out patients'
+    full frame caches, in order."""
     config = TrainConfig(epochs=1, seed=9, folds=2, parameters=(LabParameter.WBC,))
     framed, build = [], pipeline.build_stage1_frames
     scored, evaluate = [], pipeline.evaluate_r2
@@ -242,9 +244,9 @@ def test_held_out_split_is_framed_for_rollouts_only(small_cohort, monkeypatch):
         framed.append(series.patient_id)
         return build(series, *args, **kwargs)
 
-    def recorded_evaluate(model, data):
-        scored.append(data)
-        return evaluate(model, data)
+    def recorded_evaluate(models, data):
+        scored.extend(data for _ in models)
+        return evaluate(models, data)
 
     monkeypatch.setattr(pipeline, "build_stage1_frames", recorded_build)
     monkeypatch.setattr(pipeline, "evaluate_r2", recorded_evaluate)
@@ -328,16 +330,23 @@ def test_scaled_init_views_alias_the_vector(frames):
 
 
 def test_final_models_from_workers_match_and_keep_views(small_cohort):
+    """Final models trained in worker processes, in the cross-validation stack
+    or after it (as after a sweep), equal those of one process and keep their
+    views; a write through a returned model leaves the report's model as it was."""
     config = TrainConfig(epochs=2, seed=8, folds=2, parameters=(LabParameter.WBC, LabParameter.UA))
     report = cross_validate(small_cohort, config, jobs=1)
-    assert report_to_dict(cross_validate(small_cohort, config, jobs=2)) == report_to_dict(report)
+    from_workers = cross_validate(small_cohort, config, jobs=2)
+    assert report_to_dict(from_workers) == report_to_dict(report)
     sequential = train_final_models(report, config, jobs=1)
-    parallel = train_final_models(report, config, jobs=2)
-    for parameter, model in parallel.items():
+    for finals in (from_workers, dataclasses.replace(from_workers, final_models={})):
+        parallel = train_final_models(finals, config, jobs=2)
+        for parameter, model in parallel.items():
+            assert np.array_equal(model.vector, sequential[parameter].vector)
+            assert views_alias_vector(model)
+            model.regressor.b3[0] += 1.0  # a write through a view reaches the vector
+            assert not np.array_equal(model.vector, sequential[parameter].vector)
+    for parameter, model in train_final_models(from_workers, config, jobs=2).items():
         assert np.array_equal(model.vector, sequential[parameter].vector)
-        assert views_alias_vector(model)
-        model.regressor.b3[0] += 1.0  # a write through a view reaches the vector
-        assert not np.array_equal(model.vector, sequential[parameter].vector)
 
 
 def test_lockstep_stack_matches_solo_fits(small_cohort, monkeypatch):
@@ -456,3 +465,55 @@ def test_train_final_models_respects_chosen(small_cohort):
         assert np.array_equal(models[parameter].vector, final.vector)
     with pytest.raises(ConfigError, match="another config"):
         train_final_models(report, dataclasses.replace(config, epochs=3))
+
+
+def test_final_models_of_a_fixed_threshold_train_in_the_cv_stack(small_cohort, monkeypatch):
+    """The final models of one threshold train beside the fold fits, and each
+    equals its "final" fit trained alone bit for bit; returning them trains
+    nothing more. A sweep's final models train after its cross-validation."""
+    config = TrainConfig(epochs=2, seed=8, folds=2, certain=1,
+                         parameters=(LabParameter.WBC, LabParameter.UA))
+    stacks, lockstep = [], pipeline._lockstep
+
+    def recorded(models, *args):
+        stacks.append(len(models))
+        return lockstep(models, *args)
+
+    monkeypatch.setattr(pipeline, "_lockstep", recorded)
+    report = cross_validate(small_cohort, config)
+    # 2 parameters x 2 folds and 1 final model per parameter, per stage
+    assert stacks == [6, 6]
+    models = train_final_models(report, config)
+    assert stacks == [6, 6]
+    swept = sweep_certain(small_cohort, config)
+    assert stacks[2:] == [24, 24] and not swept.final_models  # 2 x 6 thresholds x 2 folds
+    train_final_models(swept, config)
+    assert stacks[4:] == [2, 2]
+    monkeypatch.undo()
+    train, _ = split_cohort(small_cohort, config.split_ratio, config.seed)
+    for parameter in config.parameters:
+        cache = build_frame_cache(train, parameter, config.interp)
+        alone = Fit(parameter, 1, derive_seed(config.seed, parameter.value, "final"),
+                    *assemble_frames(cache, train, 1))
+        [(_, final)] = train_by_method([alone], config)
+        assert models[parameter].parameter is parameter and models[parameter].certain == 1
+        assert np.array_equal(models[parameter].vector, final.vector)
+
+
+def test_stacked_scoring_matches_solo_scoring(small_cohort):
+    """One stacked rollout per gap scores every model with the R^2 of its
+    solo rollout, 1-row gap buckets included."""
+    _, stage2 = assemble_frames(
+        build_frame_cache(small_cohort, LabParameter.WBC, InterpMethod.LINEAR), small_cohort, 0)
+    # drop one frame of a 2-frame gap bucket, which leaves it one row
+    values, counts = np.unique(stage2.gaps, return_counts=True)
+    drop = np.flatnonzero(stage2.gaps == values[counts == 2][0])[0]
+    data = dataclasses.replace(stage2, rows=np.delete(stage2.rows, drop))
+    models = [nc.init_model(LabParameter.WBC, 0, seed) for seed in range(5)]
+    x, gaps = data.x[data.rows], data.gaps[data.rows]
+    assert 1 in np.unique(gaps, return_counts=True)[1]
+    for model, score in zip(models, evaluate_r2(models, data), strict=True):
+        predictions = np.empty(len(data))
+        for gap in np.unique(gaps):
+            predictions[gaps == gap] = nc.rollout_forward(model, x[gaps == gap], int(gap))[0]
+        assert score == r_squared(predictions, data.targets[data.rows])

@@ -92,6 +92,59 @@ def test_bulk_matches_single():
             np.testing.assert_allclose(bulk.out_half[j, i], half[0], rtol=1e-12, atol=1e-12)
 
 
+def _full_batch_features(models, records):
+    """(out, out_half, emb) with every record rolled out to the largest gap in
+    one batch of all records, each snapshot taken at its own application."""
+    gaps = np.array([max(r.gap_months, 1) for r in records])
+    half_apps = np.maximum(1, -(-gaps // 2))
+    out, half, emb = [], [], []
+    for parameter in PARAMETER_ORDER:
+        model = models[parameter]
+        x0 = np.stack([seed_frame(record, parameter) for record in records])
+        seq, latent, half_latent = x0, np.empty((len(records), 5)), np.empty((len(records), 5))
+        for k in range(1, gaps.max() + 1):
+            y, _ = nc.libc_forward(model.libc, seq)
+            latent[gaps == k] = y[gaps == k, -1]
+            half_latent[half_apps == k] = y[half_apps == k, -1]
+            seq = nc.next_input(y, x0, parameter)
+        out.append(nc.regressor_forward(model.regressor, latent)[0])
+        half.append(nc.regressor_forward(model.regressor, half_latent)[0])
+        emb.append(latent)
+    return np.stack(out, axis=1), np.stack(half, axis=1), np.concatenate(emb, axis=1)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_bulk_rollout_drops_finished_rows_bit_for_bit(seed, monkeypatch):
+    """Records leave the rollout after their own gap, the last one or two
+    rows run alone at the end, and every feature equals the full-batch
+    rollout's bit for bit."""
+    import dataclasses
+
+    records = generate_downstream_cohort(
+        DownstreamSpec(n_positive=8, n_negative=24, seed=seed, g_mean_positive=5, g_mean_negative=14))
+    gaps = [max(r.gap_months, 1) for r in records]
+    # exactly one record has the largest gap: the rollout ends on a 2-row floor
+    longest = int(np.argmax(gaps))
+    records[longest] = dataclasses.replace(records[longest], gap_months=max(gaps) + 3)
+    gaps[longest] += 3
+    models = _models(seed)
+    rows, forward = [], nc.libc_forward
+
+    def counted(p, x, *args, **kwargs):
+        rows.append(x.shape[-3])
+        return forward(p, x, *args, **kwargs)
+
+    monkeypatch.setattr(nc, "libc_forward", counted)
+    features = extract_features_bulk(models, records)
+    monkeypatch.undo()
+    live = [max(sum(g >= k for g in gaps), 2) for k in range(1, max(gaps) + 1)]
+    assert rows == live * len(PARAMETER_ORDER) and live[-3:] == [2, 2, 2]
+    out, half, emb = _full_batch_features(models, records)
+    assert np.array_equal(features.out, out)
+    assert np.array_equal(features.out_half, half)
+    assert np.array_equal(features.emb, emb)
+
+
 def _labels(spec):
     return np.array([r.label for r in generate_downstream_cohort(spec)], dtype=int)
 
