@@ -142,7 +142,9 @@ def load_config(path: str | None) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise MissingArtifactError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config file cannot be read: {exc}")
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"config file is not valid JSON: {exc}")
     except RecursionError:
         raise ConfigError("config file nests too deeply")
@@ -250,7 +252,7 @@ def cmd_pretrain(specs: Specs) -> dict[str, Path]:
         report = sweep_certain(loaded.patients, train_config, jobs=jobs)
     else:
         report = cross_validate(loaded.patients, train_config, jobs=jobs)
-    models = train_final_models(report, train_config, jobs=jobs)
+    models = train_final_models(report)
 
     artifacts: dict[str, Path] = {}
     for parameter in PARAMETER_ORDER:

@@ -309,9 +309,13 @@ def write_cohort_csv(patients: list[Patient], path: str | Path) -> None:
 
 @contextmanager
 def _csv_reader(path: str | Path):
-    """csv.reader over a UTF-8 file; bytes that are not UTF-8 text or CSV are
-    a schema error."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """csv.reader over a UTF-8 file; a file that cannot be opened, or bytes
+    that are not UTF-8 text or CSV, are a schema error."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot open ({exc})")
+    with fh:
         try:
             yield csv.reader(fh)
         except (UnicodeDecodeError, csv.Error) as exc:

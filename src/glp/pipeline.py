@@ -23,14 +23,14 @@ optimizer state; at each step the models whose next batches share batch
 length and gap take one stacked `netcore` step, whatever their parameters.
 A stacked step computes for each model exactly the bits of its solo step, so
 a model trains to the same weights whatever stack it is in. Cross-validation
-trains every (parameter, threshold, fold) fit of a run as one stack. With a
-fixed threshold the six final models join that stack and the report carries
-them; after a sweep, whose thresholds the scores choose, `train_final_models`
-trains them as a second stack from the training sets the `PretrainReport`
-keeps. With `jobs` > 1 a stack is split into `jobs` stacks, one per worker
-process. `assemble_frames` stacks each parameter's frames once into a
-`FrameSet`, the first-stage frames at the smallest threshold trained; each
-fit holds index rows into them, filtered by its own threshold. The held-out
+trains every (parameter, threshold, fold) fit of a run as one stack, and
+every report carries its six final models: with a fixed threshold they join
+that stack; after a sweep, whose thresholds the scores choose, they train
+inside `sweep_certain` as a second stack. With `jobs` > 1 a stack is split
+into `jobs` stacks, one per worker process. `assemble_frames` stacks each
+parameter's frames once into a `FrameSet`, the first-stage frames at the
+smallest threshold trained; each fit holds index rows into them, filtered by
+its own threshold. The held-out
 split is framed for rollouts only, one set per parameter.
 
 Validation holds out a patient-level test split once per seed, rotates folds
@@ -447,7 +447,6 @@ class PretrainReport:
     mean_r2: float = float("nan")
     # kept on the object, not serialized
     wall_clock_seconds: float = 0.0
-    frames: dict[LabParameter, tuple[FrameSet, FrameSet]] = field(default_factory=dict, repr=False)
     final_models: dict[LabParameter, nc.GlpModel] = field(default_factory=dict, repr=False)
 
     @property
@@ -525,9 +524,10 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
     """Fold-rotated training at each threshold in `certains`, every fit of
     every (parameter, threshold, fold) in one stack; per parameter the argmax
     mean R^2 is chosen, ties toward the earlier threshold. A report of one
-    threshold carries no grid, and its final models train in the same stack.
-    Each parameter's fold models (and two-stage intermediates) are scored as
-    one stack on its held-out rollout frames."""
+    threshold carries no grid, and its final models train in the same stack;
+    after a sweep they train as one more stack at the chosen thresholds. Each
+    parameter's fold models (and two-stage intermediates) are scored as one
+    stack on its held-out rollout frames."""
     started = time.perf_counter()
     train, test = split_cohort(patients, config.split_ratio, config.seed)
     if len(train) < config.folds:
@@ -560,7 +560,7 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
     report = PretrainReport(
         config_echo=_config_echo(config), seed=config.seed,
         certain=certains[0] if len(certains) == 1 else "sweep",
-        n_patients=len(patients), n_train=len(train), n_test=len(test), frames=frames,
+        n_patients=len(patients), n_train=len(train), n_test=len(test),
         final_models={fit.parameter: final for fit, (_, final) in zip(finals, trained[len(fits):])},
     )
     two_stage = config.method is TrainMethod.TWO_STAGE
@@ -585,42 +585,36 @@ def _pretrain(patients: list[Patient], config: TrainConfig, certains: list[int],
             grid=grid if len(certains) > 1 else None,
         )
     report.mean_r2 = float(np.mean([p.mean_r2 for p in report.parameters.values()]))
+    if len(certains) > 1:  # the scores chose the thresholds: the final fits train now
+        finals = [_final_fit(parameter, report.parameters[parameter.value].chosen_certain,
+                             frames[parameter], config.seed)
+                  for parameter in config.parameters]
+        trained = _in_stacks(partial(train_by_method, config=config), finals, jobs)
+        report.final_models = {fit.parameter: final for fit, (_, final) in zip(finals, trained)}
     report.wall_clock_seconds = time.perf_counter() - started
     return report
 
 
 def cross_validate(patients: list[Patient], config: TrainConfig, jobs: int = 1) -> PretrainReport:
     """Fold-rotated training at the configured certainty threshold; the final
-    models train in the same stack, and the report carries them for
-    `train_final_models`."""
+    models train in the same stack."""
     return _pretrain(patients, config, [config.certain], jobs)
 
 
 def sweep_certain(patients: list[Patient], config: TrainConfig, jobs: int = 1) -> PretrainReport:
     """Grid-search certain in 0..5 per parameter; argmax mean R^2, ties toward
-    the smaller threshold."""
+    the smaller threshold. The final models train after scoring, at each
+    parameter's chosen threshold."""
     return _pretrain(patients, config, list(range(6)), jobs)
 
 
-def train_final_models(report: PretrainReport, config: TrainConfig,
-                       jobs: int = 1) -> dict[LabParameter, nc.GlpModel]:
-    """One deployable model per parameter, trained on the report's whole
-    training split at the parameter's chosen threshold. A report of one
-    threshold already holds them, trained in its cross-validation stack, and
-    each call returns copies of them; after a sweep, whose thresholds the
-    scores choose, the six train here as one stack from the frames the
-    report's cross-validation stacked. `config` must be the one the report
-    was made with."""
-    if report.config_echo != _config_echo(config) or report.seed != config.seed:
-        raise ConfigError("the pretrain report was made with another config")
-    if report.final_models:
-        return {parameter: nc.GlpModel(model.parameter, model.certain, model.vector.copy())
-                for parameter, model in report.final_models.items()}
-    fits = [_final_fit(parameter, report.parameters[parameter.value].chosen_certain,
-                       report.frames[parameter], config.seed)
-            for parameter in config.parameters]
-    trained = _in_stacks(partial(train_by_method, config=config), fits, jobs)
-    return {fit.parameter: final for fit, (_, final) in zip(fits, trained)}
+def train_final_models(report: PretrainReport) -> dict[LabParameter, nc.GlpModel]:
+    """The report's deployable models, one per parameter, each trained on the
+    whole training split at the parameter's chosen threshold. Each call
+    returns copies, so a write through a returned model leaves the report's
+    model as it was."""
+    return {parameter: nc.GlpModel(model.parameter, model.certain, model.vector.copy())
+            for parameter, model in report.final_models.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ before and after; any drift is an error.
 
 from __future__ import annotations
 
+import itertools
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -246,10 +247,13 @@ def run_downstream_study(
     checksums_before = {p.value: nc.model_checksum(models[p]) for p in PARAMETER_ORDER}
     features = extract_features_bulk(models, records)
 
-    metric_samples: dict[tuple[str, str, str], list[float]] = {}
-    kappa_samples: dict[str, list[float]] = {rep: [] for rep in REPRESENTATIONS}
-    rep_means: dict[tuple[str, str], list[float]] = {}
-
+    # samples[representation, classifier, metric, repetition]. The repetition
+    # axis stays last: a mean over a contiguous last axis adds in numpy's
+    # pairwise order, as `np.mean` of a list does, and the means over the four
+    # classifiers (fewer than eight terms) add in plain order either way, so
+    # every figure has the bits of a mean over lists.
+    samples = np.empty((len(REPRESENTATIONS), len(ClassifierKind), len(METRIC_NAMES), repetitions))
+    kappas = np.empty((len(REPRESENTATIONS), repetitions))
     n_balanced = 0
     for repetition in range(repetitions):
         rep_seed = derive_seed(seed, "repetition", repetition)
@@ -257,46 +261,33 @@ def run_downstream_study(
         n_balanced = len(keep)
         labels = features.labels[keep]
         train_idx, test_idx = _stratified_split(labels, split_ratio, rng_from(rep_seed, "split"))
-        for rep in REPRESENTATIONS:
+        for r, rep in enumerate(REPRESENTATIONS):
             matrix = getattr(features, rep)[keep]
             predictions = {}
-            per_classifier_metrics = {}
-            for kind in ClassifierKind:
+            for k, kind in enumerate(ClassifierKind):
                 model = train_classifier(kind, matrix[train_idx], labels[train_idx])
                 predicted, scores = model.predict(matrix[test_idx])
-                row = classification_metrics(labels[test_idx], predicted, scores)
                 predictions[kind.value] = predicted
-                per_classifier_metrics[kind.value] = row
-                for metric in METRIC_NAMES:
-                    metric_samples.setdefault((rep, kind.value, metric), []).append(
-                        getattr(row, metric)
-                    )
-            kappa_samples[rep].append(mean_pairwise_kappa(predictions))
-            for metric in METRIC_NAMES:
-                rep_means.setdefault((rep, metric), []).append(
-                    float(np.mean([getattr(row, metric) for row in per_classifier_metrics.values()]))
-                )
+                samples[r, k, :, repetition] = astuple(
+                    classification_metrics(labels[test_idx], predicted, scores))
+            kappas[r, repetition] = mean_pairwise_kappa(predictions)
 
     report = DownstreamReport(
         seed=seed, repetitions=repetitions, split_ratio=split_ratio,
         n_records=len(records), n_balanced=n_balanced,
     )
-    for rep in REPRESENTATIONS:
-        report.per_classifier[rep] = {}
-        for kind in ClassifierKind:
-            report.per_classifier[rep][kind.value] = MetricsRow(
-                *[float(np.mean(metric_samples[(rep, kind.value, m)])) for m in METRIC_NAMES]
-            )
-        rows = report.per_classifier[rep].values()
-        report.averaged[rep] = MetricsRow(
-            *[float(np.mean([getattr(r, m) for r in rows])) for m in METRIC_NAMES]
-        )
-        report.kappa[rep] = float(np.mean(kappa_samples[rep]))
+    per_classifier = samples.mean(axis=-1)  # (representation, classifier, metric)
+    for r, rep in enumerate(REPRESENTATIONS):
+        report.per_classifier[rep] = {
+            kind.value: MetricsRow(*per_classifier[r, k].tolist())
+            for k, kind in enumerate(ClassifierKind)}
+        report.averaged[rep] = MetricsRow(*per_classifier[r].mean(axis=0).tolist())
+        report.kappa[rep] = float(kappas[r].mean())
 
-    pairs = [("raw", "emb"), ("raw", "out"), ("emb", "out")]
-    for rep_a, rep_b in pairs:
-        for metric in METRIC_NAMES:
-            result = t_test(rep_means[(rep_a, metric)], rep_means[(rep_b, metric)])
+    rep_means = samples.mean(axis=1)  # (representation, metric, repetition)
+    for (a, rep_a), (b, rep_b) in itertools.combinations(enumerate(REPRESENTATIONS), 2):
+        for m, metric in enumerate(METRIC_NAMES):
+            result = t_test(rep_means[a, m], rep_means[b, m])
             report.significance.append(
                 {"metric": metric, "a": rep_a, "b": rep_b,
                  "t": result.t, "df": result.df, "p": result.p, "variant": "pooled"}

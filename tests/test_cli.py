@@ -154,6 +154,17 @@ def test_transfer_logs_rejected_episodic_rows(tmp_path, caplog):
     assert "ingestion rejected 1 episodic rows" in warnings
 
 
+@pytest.mark.parametrize("command, name", [("pretrain", "pretext.csv"),
+                                           ("transfer", "episodic.csv")])
+def test_input_csv_that_cannot_be_opened_is_a_schema_error(tmp_path, command, name):
+    _, out = tiny_config(tmp_path)
+    out.mkdir()
+    (out / name).mkdir()
+    for parameter in PARAMETER_ORDER:  # they must exist; transfer reads the CSV first
+        (out / f"weights_{parameter.value}.glp").touch()
+    assert main([command, "--config", str(tmp_path / "config.json")]) == 4
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 1, "bogus": True}))
@@ -171,6 +182,9 @@ def test_config_value_of_wrong_type_rejected(tmp_path, override):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), **override}))
     assert main(["synth", "--config", str(path)]) == 2
+
+
+CONFIG_DIRECTORY = object()  # the --config path is a directory
 
 
 @pytest.mark.parametrize("override", [
@@ -199,15 +213,24 @@ def test_config_value_of_wrong_type_rejected(tmp_path, override):
     {"jobs": 10**20},
     {"train": {"epochs": 10**20}},
     {"transfer": {"repetitions": 10**20}},
+    # files that cannot be read as JSON text
+    b'\xff\xfe{}',
+    '{"seed": 1' + "0" * 5_000 + "}",
+    CONFIG_DIRECTORY,
 ], ids=["jobs-0", "jobs-negative", "repetitions-0", "split-0", "split-1.5",
         "visit-period-nan", "separation-nan", "learning-rate-nan", "learning-rate-inf",
         "learning-rate-negative", "learning-rate-0", "nested-200k",
         "dropout-1.5", "months-span-1", "visit-period-0.5", "n-positive-0", "separation-negative",
         "n-patients-1e20", "n-positive-1e20", "n-negative-1e20", "records-100k", "jobs-1e20",
-        "epochs-1e20", "repetitions-1e20"])
+        "epochs-1e20", "repetitions-1e20", "not-utf8", "int-5000-digits", "directory"])
 def test_run_settings_rejected_at_config_load(tmp_path, override):
     path = tmp_path / "config.json"
-    path.write_text(override if isinstance(override, str) else json.dumps(override))
+    if override is CONFIG_DIRECTORY:
+        path.mkdir()
+    elif isinstance(override, bytes):
+        path.write_bytes(override)
+    else:
+        path.write_text(override if isinstance(override, str) else json.dumps(override))
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert not (tmp_path / "run").exists()
 

@@ -331,22 +331,23 @@ def test_scaled_init_views_alias_the_vector(frames):
 
 def test_final_models_from_workers_match_and_keep_views(small_cohort):
     """Final models trained in worker processes, in the cross-validation stack
-    or after it (as after a sweep), equal those of one process and keep their
-    views; a write through a returned model leaves the report's model as it was."""
+    or after a sweep, equal those of one process and keep their views; a
+    write through a returned model leaves the report's model as it was."""
     config = TrainConfig(epochs=2, seed=8, folds=2, parameters=(LabParameter.WBC, LabParameter.UA))
-    report = cross_validate(small_cohort, config, jobs=1)
-    from_workers = cross_validate(small_cohort, config, jobs=2)
-    assert report_to_dict(from_workers) == report_to_dict(report)
-    sequential = train_final_models(report, config, jobs=1)
-    for finals in (from_workers, dataclasses.replace(from_workers, final_models={})):
-        parallel = train_final_models(finals, config, jobs=2)
+    for pretrain in (cross_validate, sweep_certain):
+        report = pretrain(small_cohort, config, jobs=1)
+        from_workers = pretrain(small_cohort, config, jobs=2)
+        assert report_to_dict(from_workers) == report_to_dict(report)
+        sequential = train_final_models(report)
+        parallel = train_final_models(from_workers)
+        assert parallel.keys() == sequential.keys() == set(config.parameters)
         for parameter, model in parallel.items():
             assert np.array_equal(model.vector, sequential[parameter].vector)
             assert views_alias_vector(model)
             model.regressor.b3[0] += 1.0  # a write through a view reaches the vector
             assert not np.array_equal(model.vector, sequential[parameter].vector)
-    for parameter, model in train_final_models(from_workers, config, jobs=2).items():
-        assert np.array_equal(model.vector, sequential[parameter].vector)
+        for parameter, model in train_final_models(from_workers).items():
+            assert np.array_equal(model.vector, sequential[parameter].vector)
 
 
 def test_lockstep_stack_matches_solo_fits(small_cohort, monkeypatch):
@@ -446,15 +447,16 @@ def test_no_frame_outlives_framing(small_cohort, monkeypatch):
     assert alive == [0]
 
 
-def test_train_final_models_respects_chosen(small_cohort):
+def test_train_final_models_respects_chosen(small_cohort, monkeypatch):
     config = TrainConfig(epochs=2, seed=8, folds=2, parameters=(LabParameter.WBC, LabParameter.UA))
-    report = sweep_certain(small_cohort, config)
     chosen = {LabParameter.WBC: 2, LabParameter.UA: 0}
-    for parameter, certain in chosen.items():
-        report.parameters[parameter.value].chosen_certain = certain
-    models = train_final_models(report, config)
+    picks = iter(chosen.values())  # the sweep chooses per parameter, in config order
+    monkeypatch.setattr(pipeline, "argmax_certain", lambda means: next(picks))
+    report = sweep_certain(small_cohort, config)
+    models = train_final_models(report)
     train, _ = split_cohort(small_cohort, config.split_ratio, config.seed)
     for parameter, certain in chosen.items():
+        assert report.parameters[parameter.value].chosen_certain == certain
         assert models[parameter].parameter is parameter
         assert models[parameter].certain == certain
         # trained on exactly the training split's frames at the chosen threshold
@@ -463,14 +465,13 @@ def test_train_final_models_respects_chosen(small_cohort):
                     *assemble_frames(cache, train, certain))
         [(_, final)] = train_by_method([alone], config)
         assert np.array_equal(models[parameter].vector, final.vector)
-    with pytest.raises(ConfigError, match="another config"):
-        train_final_models(report, dataclasses.replace(config, epochs=3))
 
 
 def test_final_models_of_a_fixed_threshold_train_in_the_cv_stack(small_cohort, monkeypatch):
     """The final models of one threshold train beside the fold fits, and each
-    equals its "final" fit trained alone bit for bit; returning them trains
-    nothing more. A sweep's final models train after its cross-validation."""
+    equals its "final" fit trained alone bit for bit. A sweep's final models
+    train after its cross-validation, inside `sweep_certain`; returning a
+    report's models trains nothing more."""
     config = TrainConfig(epochs=2, seed=8, folds=2, certain=1,
                          parameters=(LabParameter.WBC, LabParameter.UA))
     stacks, lockstep = [], pipeline._lockstep
@@ -483,12 +484,13 @@ def test_final_models_of_a_fixed_threshold_train_in_the_cv_stack(small_cohort, m
     report = cross_validate(small_cohort, config)
     # 2 parameters x 2 folds and 1 final model per parameter, per stage
     assert stacks == [6, 6]
-    models = train_final_models(report, config)
+    models = train_final_models(report)
     assert stacks == [6, 6]
     swept = sweep_certain(small_cohort, config)
-    assert stacks[2:] == [24, 24] and not swept.final_models  # 2 x 6 thresholds x 2 folds
-    train_final_models(swept, config)
-    assert stacks[4:] == [2, 2]
+    # 2 parameters x 6 thresholds x 2 folds, then 1 final model per parameter, per stage
+    assert stacks[2:] == [24, 24, 2, 2]
+    train_final_models(swept)
+    assert stacks[2:] == [24, 24, 2, 2]
     monkeypatch.undo()
     train, _ = split_cohort(small_cohort, config.split_ratio, config.seed)
     for parameter in config.parameters:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from glp import netcore as nc
+from glp import transfer
+from glp.classifiers import ClassifierKind
 from glp.cohort import (
     DownstreamSpec,
     EpisodicRecord,
@@ -11,7 +13,11 @@ from glp.cohort import (
     generate_downstream_cohort,
 )
 from glp.errors import ConfigError, EvaluationError, TrainingError
+from glp.stats import t_test
 from glp.transfer import (
+    METRIC_NAMES,
+    REPRESENTATIONS,
+    MetricsRow,
     _balanced_indices,
     _stratified_split,
     auroc,
@@ -338,3 +344,57 @@ def test_study_deterministic(study):
     again, _ = run_downstream_study(models, records, seed=11, repetitions=3)
     assert again.averaged["out"] == report.averaged["out"]
     assert again.kappa == report.kappa
+
+
+def test_study_matches_a_list_based_reference(monkeypatch):
+    """Table 3 rebuilt from every metrics row and kappa the study computes, in
+    call order, with Python lists and `np.mean`: equal bit for bit. Nine
+    repetitions, since from eight terms on numpy's pairwise summation and
+    plain summation differ."""
+    rows, kappas = [], []
+
+    def recording(fn, results):
+        def recorded(*args):
+            results.append(fn(*args))
+            return results[-1]
+        return recorded
+
+    monkeypatch.setattr(transfer, "classification_metrics", recording(classification_metrics, rows))
+    monkeypatch.setattr(transfer, "mean_pairwise_kappa", recording(mean_pairwise_kappa, kappas))
+    records = generate_downstream_cohort(
+        DownstreamSpec(n_positive=12, n_negative=40, seed=6, g_mean_positive=10, g_mean_negative=30)
+    )
+    report, _ = run_downstream_study(_models(seed=2), records, seed=11, repetitions=9)
+
+    kinds = [kind.value for kind in ClassifierKind]
+    samples: dict[tuple[str, str, str], list[float]] = {}
+    kappa_samples: dict[str, list[float]] = {rep: [] for rep in REPRESENTATIONS}
+    rep_means: dict[tuple[str, str], list[float]] = {}
+    calls, kappa_calls = iter(rows), iter(kappas)
+    for _ in range(9):
+        for rep in REPRESENTATIONS:
+            per_kind = [next(calls) for _ in kinds]
+            for kind, row in zip(kinds, per_kind):
+                for metric in METRIC_NAMES:
+                    samples.setdefault((rep, kind, metric), []).append(getattr(row, metric))
+            kappa_samples[rep].append(next(kappa_calls))
+            for metric in METRIC_NAMES:
+                rep_means.setdefault((rep, metric), []).append(
+                    float(np.mean([getattr(row, metric) for row in per_kind])))
+    assert next(calls, None) is None and next(kappa_calls, None) is None
+
+    for rep in REPRESENTATIONS:
+        per_classifier = {kind: MetricsRow(*[float(np.mean(samples[(rep, kind, m)]))
+                                             for m in METRIC_NAMES]) for kind in kinds}
+        assert report.per_classifier[rep] == per_classifier
+        assert report.averaged[rep] == MetricsRow(*[
+            float(np.mean([getattr(row, m) for row in per_classifier.values()]))
+            for m in METRIC_NAMES])
+        assert report.kappa[rep] == float(np.mean(kappa_samples[rep]))
+    significance = []
+    for rep_a, rep_b in [("raw", "emb"), ("raw", "out"), ("emb", "out")]:
+        for metric in METRIC_NAMES:
+            result = t_test(rep_means[(rep_a, metric)], rep_means[(rep_b, metric)])
+            significance.append({"metric": metric, "a": rep_a, "b": rep_b, "t": result.t,
+                                 "df": result.df, "p": result.p, "variant": "pooled"})
+    assert report.significance == significance

@@ -1,4 +1,4 @@
-"""Determinism gate: the artifact sha256 values of `glp all` on nine configs.
+"""Determinism gate: the artifact sha256 values of `glp all` on eleven configs.
 
 Runs `glp all` from this checkout's `src/` on each config below, one after
 the other, and prints one JSON object mapping each config name to its
@@ -52,6 +52,9 @@ CONFIGS: dict[str, dict] = {
     "ssl": _small(method="ssl"),
     "supervised": _small(method="supervised"),
     "study-s3-jobs2": _study(3, jobs=2),
+    "sweep-jobs2": {**_small(certain="sweep"), "jobs": 2},
+    # from eight repetitions on, numpy's pairwise summation departs from plain order
+    "study-s3-reps9": {**_study(3), "transfer": {"repetitions": 9}},
 }
 
 
